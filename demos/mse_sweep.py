@@ -1,8 +1,9 @@
 """Small Monte Carlo MSE sweep over the zoo, written to CSV.
 
-A scaled-down version of the default benchmark: every (family, n,
-estimator) cell gets its own deterministic trial stream, so the output CSV
-is byte-identical run to run regardless of worker count.
+A scaled-down version of the default sweep. Trial t of every (family, n)
+cell draws from (master_seed, t) alone, so the sweep draws each cell once
+and scores every estimator on the same counts; the output CSV is
+byte-identical run to run.
 """
 
 import tempfile
@@ -17,7 +18,7 @@ cfg = SweepConfig(
     trials=400,
     output_path=str(out),
 )
-rows = run_sweep(cfg, workers=4)
+rows = run_sweep(cfg)
 print(f"wrote {len(rows)} rows to {out}\n")
 
 print(f"{'family':12} {'n':>6} {'estimator':>14} {'mse':>12} {'stderr':>10}")

@@ -3,7 +3,8 @@
 Library layout:
   distributions  -- the probability-floor distribution zoo
   poisson_model  -- sampling, fingerprints, exact prevalence moments
-  estimators     -- plug-in, Chao, modified Chao, Chebyshev estimators
+  estimators     -- plug-in, Chao, modified Chao, Chebyshev estimators,
+                    one batched kernel over occupancy matrices
   bounds         -- closed-form worst-case MSE and bias bounds
   oracle         -- exhaustive small-alphabet inequality certification
   bench          -- Monte Carlo MSE harness, sweeps, empirical-data path
@@ -26,8 +27,10 @@ from .estimators import (
     chao_unseen,
     chebyshev_support,
     modified_chao_unseen,
+    occupancy_width,
     plugin_support,
     support_estimate,
+    unseen_estimates,
 )
 from .bounds import (
     BoundInapplicableError,
@@ -65,6 +68,8 @@ __all__ = [
     "modified_chao_unseen",
     "support_estimate",
     "chebyshev_support",
+    "unseen_estimates",
+    "occupancy_width",
     "BoundReport",
     "BoundInapplicableError",
     "solve_alpha",

@@ -1,16 +1,19 @@
 """Monte Carlo MSE harness, sweep configuration, and empirical-data paths.
 
 Every trial derives its randomness solely from (master_seed, trial_index),
-so results are byte-identical regardless of how trials are distributed
-across workers. Undefined Chao trials (phi_2 = 0) are excluded from the
-mean and reported in undefined_count, never imputed.
+so every estimator scored on a (distribution, n) cell sees the same counts.
+A sweep therefore draws each cell once, as a truncated occupancy matrix,
+and scores every configured estimator on it with
+estimators.unseen_estimates. Trials run serially; the workers argument is
+accepted for compatibility and changes neither results nor run time.
+Undefined Chao trials (phi_2 = 0) are excluded from the mean and reported
+in undefined_count, never imputed.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,10 +26,9 @@ from .estimators import (
     ESTIMATOR_IDS,
     EstimatorOutput,
     UndefinedEstimateError,
-    chebyshev_coefficients,
-    chebyshev_support,
-    plugin_support,
+    occupancy_width,
     support_estimate,
+    unseen_estimates,
 )
 from .poisson_model import Fingerprint
 
@@ -53,6 +55,10 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if not self.n_grid:
             raise ValueError("n_grid must be nonempty")
+        if not all(math.isfinite(n) and n > 0 for n in self.n_grid):
+            raise ValueError(
+                f"n_grid values must be finite and > 0, got {self.n_grid}"
+            )
         if self.k < 2:
             raise ValueError("k must be >= 2")
         unknown = set(self.estimators) - set(ESTIMATOR_IDS)
@@ -76,90 +82,53 @@ CSV_HEADER = ("family", "k", "n", "estimator", "mse", "stderr", "trials",
               "undefined_count")
 
 
-def _trial_squared_errors(
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _draw_cell(
+    P: DiscreteDistribution, n: float, trials: int, master_seed: int,
+    width: int,
+) -> np.ndarray:
+    """(trials x width) occupancy matrix of one (P, n) cell.
+
+    Row t holds phi_0..phi_{width-1} of the Poisson(n p) counts drawn from
+    default_rng([master_seed, t]); the counts themselves are not kept.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not (math.isfinite(n) and n > 0):
+        raise ValueError(f"n must be finite and > 0, got {n}")
+    means = n * P.probs
+    occupancy = np.empty((trials, width), dtype=np.int64)
+    for t in range(trials):
+        counts = np.random.default_rng([master_seed, t]).poisson(means)
+        occupancy[t] = np.bincount(counts, minlength=width)[:width]
+    return occupancy
+
+
+def _score(
     P: DiscreteDistribution,
     n: float,
     estimator_id: str,
-    indices,
-    master_seed: int,
-    errors: np.ndarray,
+    occupancy: np.ndarray,
+    family: str | None,
     c0: float,
     c1: float,
-) -> None:
-    """Fill errors[i] for each trial index; NaN marks an undefined trial.
+) -> MseRow:
+    """MSE row of one estimator on a drawn cell; NaN errors are undefined.
 
     The per-trial squared error is measured against the latent phi_0, which
     equals the support-estimation error for plug-in style estimators.
     """
-    probs = P.probs
-    means = n * probs
-    k = P.k
-    if estimator_id == "chebyshev":
-        g = chebyshev_coefficients(k, float(n), c0, c1)
-    for idx in indices:
-        rng = np.random.default_rng([master_seed, idx])
-        counts = rng.poisson(means)
-        occupancy = np.bincount(counts)
-        phi0 = int(occupancy[0])
-        if estimator_id == "plugin":
-            unseen_est = 0.0
-        elif estimator_id == "chao":
-            phi2 = int(occupancy[2]) if len(occupancy) > 2 else 0
-            if phi2 == 0:
-                errors[idx] = np.nan
-                continue
-            phi1 = int(occupancy[1]) if len(occupancy) > 1 else 0
-            unseen_est = phi1 * phi1 / (2.0 * phi2)
-        elif estimator_id == "modified_chao":
-            phi1 = int(occupancy[1]) if len(occupancy) > 1 else 0
-            phi2 = int(occupancy[2]) if len(occupancy) > 2 else 0
-            unseen_est = phi1 * phi1 / (2.0 * (phi2 + 1))
-        elif estimator_id == "chebyshev":
-            L = len(g)
-            seen = float(occupancy[1:].sum())
-            correction = math.fsum(
-                (g[i - 1] - 1.0) * occupancy[i]
-                for i in range(1, min(L, len(occupancy) - 1) + 1)
-            )
-            # clamp mirrors chebyshev_support: estimate >= 0
-            unseen_est = max(seen + correction, 0.0) - seen
-        else:
-            raise ValueError(f"unknown estimator {estimator_id!r}")
-        err = phi0 - unseen_est
-        errors[idx] = err * err
-
-
-def monte_carlo_mse(
-    P: DiscreteDistribution,
-    n: float,
-    estimator_id: str,
-    trials: int,
-    master_seed: int,
-    family: str | None = None,
-    workers: int = 1,
-    c0: float = DEFAULT_C0,
-    c1: float = DEFAULT_C1,
-) -> MseRow:
-    """Monte Carlo estimate of the MSE of a support estimator under P."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    errors = np.empty(trials)
-    indices = np.arange(trials)
-    if workers <= 1:
-        _trial_squared_errors(P, n, estimator_id, indices, master_seed,
-                              errors, c0, c1)
-    else:
-        chunks = np.array_split(indices, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_trial_squared_errors, P, n, estimator_id, chunk,
-                            master_seed, errors, c0, c1)
-                for chunk in chunks if len(chunk)
-            ]
-            for fut in futures:
-                fut.result()
+    phi0 = occupancy[:, 0]
+    unseen = unseen_estimates(occupancy, support_size(P) - phi0, estimator_id,
+                              k=P.k, n=n, c0=c0, c1=c1)
+    err = phi0 - unseen
+    errors = err * err
     defined = errors[~np.isnan(errors)]
-    undefined_count = trials - len(defined)
+    trials = len(errors)
     if len(defined) == 0:
         raise UndefinedEstimateError("estimator undefined on every trial")
     mse = float(np.mean(defined))
@@ -176,27 +145,51 @@ def monte_carlo_mse(
         mse=mse,
         stderr=stderr,
         trials=trials,
-        undefined_count=undefined_count,
+        undefined_count=trials - len(defined),
     )
+
+
+def monte_carlo_mse(
+    P: DiscreteDistribution,
+    n: float,
+    estimator_id: str,
+    trials: int,
+    master_seed: int,
+    family: str | None = None,
+    workers: int = 1,
+    c0: float = DEFAULT_C0,
+    c1: float = DEFAULT_C1,
+) -> MseRow:
+    """Monte Carlo estimate of the MSE of a support estimator under P.
+
+    Trial t draws from default_rng([master_seed, t]), so the row equals the
+    matching run_sweep row, which scores every estimator on one shared draw
+    of the cell. workers (>= 1) changes neither the result nor the run time.
+    """
+    _check_workers(workers)
+    occupancy = _draw_cell(P, n, trials, master_seed, occupancy_width(P.k, c0))
+    return _score(P, n, estimator_id, occupancy, family, c0, c1)
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[MseRow]:
     """Cartesian product of families x n_grid x estimators; writes CSV.
 
+    Each (family, n) cell is drawn once and scored by every estimator.
     Output is deterministic (byte-identical) for a given config regardless
     of worker count.
     """
+    _check_workers(workers)
     rows = []
     for family in cfg.families:
         P = make_distribution(family, cfg.k)
         for n in cfg.n_grid:
-            for estimator_id in cfg.estimators:
-                rows.append(
-                    monte_carlo_mse(
-                        P, n, estimator_id, cfg.trials, cfg.master_seed,
-                        family=family, workers=workers,
-                    )
-                )
+            occupancy = _draw_cell(P, n, cfg.trials, cfg.master_seed,
+                                   occupancy_width(P.k))
+            rows.extend(
+                _score(P, n, estimator_id, occupancy, family, DEFAULT_C0,
+                       DEFAULT_C1)
+                for estimator_id in cfg.estimators
+            )
     write_rows(rows, cfg.output_path)
     return rows
 
@@ -287,17 +280,8 @@ def estimate_from_counts(
     fp = ingest_counts(path)
     report: dict[str, EstimatorOutput | None] = {}
     for estimator_id in estimators:
-        if estimator_id == "plugin":
-            report[estimator_id] = EstimatorOutput(
-                value=plugin_support(fp), estimator_id="plugin"
-            )
-        elif estimator_id == "chebyshev":
-            if k is None or n is None:
-                raise ValueError("chebyshev estimator requires --k and --n")
-            report[estimator_id] = chebyshev_support(fp, k, n)
-        else:
-            try:
-                report[estimator_id] = support_estimate(fp, estimator_id)
-            except UndefinedEstimateError:
-                report[estimator_id] = None
+        try:
+            report[estimator_id] = support_estimate(fp, estimator_id, k=k, n=n)
+        except UndefinedEstimateError:
+            report[estimator_id] = None
     return report

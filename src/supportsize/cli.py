@@ -7,7 +7,8 @@ Subcommands:
   sweep      -- Monte Carlo MSE sweep over the zoo, written as CSV
   verify     -- run the full inequality certification campaign
 
-Exit status: 0 on success, 1 on usage error, 2 on a falsified certificate.
+Exit status: 0 on success, 1 on a usage error or bad input (one
+"error: ..." line on stderr), 2 on a falsified certificate.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import time
 
 from . import bench, bounds, oracle
 from .distributions import FAMILIES, make_distribution
+from .estimators import UndefinedEstimateError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,19 +174,22 @@ def _cmd_verify(args) -> int:
     return 2 if any_falsified else 0
 
 
+_COMMANDS = {
+    "dist": _cmd_dist_dump,
+    "bounds": _cmd_bounds,
+    "estimate": _cmd_estimate,
+    "sweep": _cmd_sweep,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "dist":
-        return _cmd_dist_dump(args)
-    if args.command == "bounds":
-        return _cmd_bounds(args)
-    if args.command == "estimate":
-        return _cmd_estimate(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    raise AssertionError("unreachable")
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, OSError, UndefinedEstimateError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -4,6 +4,11 @@ Four estimators: the plug-in (number of distinct observed symbols), the Chao
 ratio phi_1^2 / (2 phi_2), the modified Chao ratio with denominator
 2 (phi_2 + 1) which is always defined, and the Chebyshev linear estimator
 whose coefficients come from a shifted-and-scaled Chebyshev polynomial.
+
+Each is defined once, in unseen_estimates, which maps a (rows x W) occupancy
+matrix to one unseen-symbol estimate per row. The single-fingerprint
+functions are one-row calls of it, and the Monte Carlo harness calls it once
+per (cell, estimator) on every trial of the cell.
 """
 
 from __future__ import annotations
@@ -38,17 +43,103 @@ def plugin_support(fp: Fingerprint) -> float:
     return float(sum(fp.phi.values()))
 
 
+def _degree(k: int, c0: float) -> int:
+    """The Chebyshev degree cutoff L = floor(c0 log k)."""
+    return math.floor(c0 * math.log(k))
+
+
+def occupancy_width(k: int | None = None, c0: float = DEFAULT_C0) -> int:
+    """Columns phi_0..phi_{W-1} that unseen_estimates reads for any estimator.
+
+    Every estimator reads phi_1 and phi_2; the Chebyshev estimator at support
+    bound k also reads phi_1..phi_L, L = floor(c0 log k).
+    """
+    if k is None or k < 2:
+        return 3
+    return max(3, _degree(k, c0) + 1)
+
+
+def unseen_estimates(
+    occupancy,
+    seen,
+    estimator_id: str,
+    *,
+    k: int | None = None,
+    n: float | None = None,
+    c0: float = DEFAULT_C0,
+    c1: float = DEFAULT_C1,
+) -> np.ndarray:
+    """Unseen-symbol estimate of every row of a truncated occupancy matrix.
+
+    occupancy[t, i] is phi_i of fingerprint t for i < W, with W at least
+    occupancy_width(k, c0); column 0 is never read, so the latent phi_0 may
+    sit there. seen[t] is the plug-in count of fingerprint t, the sum of
+    phi_i over every i >= 1, counts at or beyond W included.
+
+    plugin: 0. chao: phi_1^2 / (2 phi_2), NaN where phi_2 = 0.
+    modified_chao: phi_1^2 / (2 (phi_2 + 1)). chebyshev (needs k and n):
+    max(seen + sum_{i<=L} (g_i - 1) phi_i, 0) - seen with an exactly rounded
+    sum, so the support estimate seen + unseen is the linear estimator
+    sum_i g_i phi_i (g_i = 1 beyond L) clamped at zero: the coefficients
+    alternate in sign, so unlucky fingerprints can otherwise dip below any
+    attainable support.
+    """
+    occupancy = np.asarray(occupancy, dtype=np.int64)
+    if occupancy.ndim != 2 or occupancy.shape[1] < 3:
+        raise ValueError(
+            f"occupancy must be 2-D with >= 3 columns, got {occupancy.shape}"
+        )
+    phi1, phi2 = occupancy[:, 1], occupancy[:, 2]
+    if estimator_id == "plugin":
+        return np.zeros(len(occupancy))
+    if estimator_id == "chao":
+        out = np.full(len(occupancy), np.nan)
+        return np.divide(phi1 * phi1, 2.0 * phi2, out=out, where=phi2 != 0)
+    if estimator_id == "modified_chao":
+        return phi1 * phi1 / (2.0 * (phi2 + 1))
+    if estimator_id == "chebyshev":
+        if k is None or n is None:
+            raise ValueError("chebyshev estimator requires k and n")
+        if k < 2 or not n > 0:
+            raise ValueError("chebyshev estimator requires k >= 2 and n > 0")
+        if c0 <= 0 or c1 <= 0:
+            raise ValueError("c0 and c1 must be positive")
+        g = chebyshev_coefficients(k, float(n), c0, c1)
+        if occupancy.shape[1] <= len(g):
+            raise ValueError(
+                f"chebyshev reads phi_1..phi_{len(g)}; occupancy has only "
+                f"{occupancy.shape[1]} columns"
+            )
+        terms = (g - 1.0) * occupancy[:, 1 : len(g) + 1]
+        correction = np.array([math.fsum(row) for row in terms.tolist()])
+        seen = np.asarray(seen, dtype=float)
+        return np.maximum(seen + correction, 0.0) - seen
+    raise ValueError(f"unknown unseen estimator {estimator_id!r}")
+
+
+def _unseen_one_row(
+    fp: Fingerprint, estimator_id: str, k=None, n=None,
+    c0: float = DEFAULT_C0, c1: float = DEFAULT_C1,
+) -> float:
+    """unseen_estimates on one fingerprint; raises where chao is undefined."""
+    row = [[fp.phi.get(i, 0) for i in range(occupancy_width(k, c0))]]
+    seen = [sum(fp.phi.values())]
+    value = float(
+        unseen_estimates(row, seen, estimator_id, k=k, n=n, c0=c0, c1=c1)[0]
+    )
+    if math.isnan(value):
+        raise UndefinedEstimateError("phi_2 = 0")
+    return value
+
+
 def chao_unseen(fp: Fingerprint) -> float:
     """phi_1^2 / (2 phi_2); raises when phi_2 = 0."""
-    phi2 = fp.get(2)
-    if phi2 == 0:
-        raise UndefinedEstimateError("phi_2 = 0")
-    return fp.get(1) ** 2 / (2.0 * phi2)
+    return _unseen_one_row(fp, "chao")
 
 
 def modified_chao_unseen(fp: Fingerprint) -> float:
     """phi_1^2 / (2 (phi_2 + 1)); defined on every fingerprint."""
-    return fp.get(1) ** 2 / (2.0 * (fp.get(2) + 1))
+    return _unseen_one_row(fp, "modified_chao")
 
 
 def support_estimate(
@@ -60,21 +151,12 @@ def support_estimate(
     c0: float = DEFAULT_C0,
     c1: float = DEFAULT_C1,
 ) -> EstimatorOutput:
-    """Plug-in count plus the selected unseen-symbol estimate.
+    """Plug-in count plus the selected unseen-symbol estimate (0 for plugin).
 
     The chebyshev choice is a direct linear support estimator and requires
     k and n. The chao choice propagates UndefinedEstimateError.
     """
-    if unseen == "chao":
-        value = plugin_support(fp) + chao_unseen(fp)
-    elif unseen == "modified_chao":
-        value = plugin_support(fp) + modified_chao_unseen(fp)
-    elif unseen == "chebyshev":
-        if k is None or n is None:
-            raise ValueError("chebyshev estimator requires k and n")
-        return chebyshev_support(fp, k, n, c0, c1)
-    else:
-        raise ValueError(f"unknown unseen estimator {unseen!r}")
+    value = plugin_support(fp) + _unseen_one_row(fp, unseen, k, n, c0, c1)
     return EstimatorOutput(value=value, estimator_id=unseen)
 
 
@@ -101,7 +183,7 @@ def chebyshev_coefficients(
     or the interval degenerates, which happens once n is large enough that
     every symbol is well sampled.
     """
-    L = math.floor(c0 * math.log(k))
+    L = _degree(k, c0)
     left, right = 1.0 / k, c1 * math.log(k) / n
     if L < 1 or right <= left:
         return np.zeros(0)
@@ -129,18 +211,6 @@ def chebyshev_support(
     c0: float = DEFAULT_C0,
     c1: float = DEFAULT_C1,
 ) -> EstimatorOutput:
-    """Chebyshev linear support estimator, sum of g_i * phi_i.
-
-    Clamped at zero: the polynomial coefficients alternate in sign, so
-    unlucky fingerprints can otherwise dip below any attainable support.
-    """
-    if k < 2 or n <= 0:
-        raise ValueError("chebyshev estimator requires k >= 2 and n > 0")
-    if c0 <= 0 or c1 <= 0:
-        raise ValueError("c0 and c1 must be positive")
-    g = chebyshev_coefficients(k, float(n), c0, c1)
-    L = len(g)
-    value = math.fsum(
-        (g[i - 1] if i <= L else 1.0) * count for i, count in fp.phi.items()
-    )
-    return EstimatorOutput(value=max(value, 0.0), estimator_id="chebyshev")
+    """Chebyshev linear support estimator, sum of g_i * phi_i, clamped at
+    zero (see unseen_estimates)."""
+    return support_estimate(fp, "chebyshev", k=k, n=n, c0=c0, c1=c1)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from supportsize.bench import (
 )
 from supportsize.distributions import make_distribution
 from supportsize.estimators import (
+    ESTIMATOR_IDS,
     UndefinedEstimateError,
     modified_chao_unseen,
     plugin_support,
@@ -100,6 +102,58 @@ def test_worker_count_does_not_change_results():
         for w in (1, 2, 5)
     ]
     assert rows[0] == rows[1] == rows[2]
+
+
+def test_workers_must_be_positive(tmp_path):
+    P = make_distribution("uniform", 20)
+    cfg = SweepConfig(families=("uniform",), k=20, n_grid=(30.0,),
+                      estimators=("plugin",), trials=5,
+                      output_path=str(tmp_path / "sweep.csv"))
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            monte_carlo_mse(P, 30.0, "plugin", trials=5, master_seed=0,
+                            workers=workers)
+        with pytest.raises(ValueError):
+            run_sweep(cfg, workers=workers)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_monte_carlo_rejects_bad_n():
+    P = make_distribution("uniform", 20)
+    for n in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            monte_carlo_mse(P, n, "plugin", trials=5, master_seed=0)
+    with pytest.raises(ValueError):
+        SweepConfig(n_grid=(100.0, -5.0))
+
+
+def test_shared_draws_match_per_estimator_rows(tmp_path):
+    # a sweep draws each (family, n) cell once and scores every estimator on
+    # it; each row must equal the one-estimator monte_carlo_mse row exactly
+    cfg = SweepConfig(families=("uniform", "zipf"), k=60, n_grid=(12.0, 90.0),
+                      estimators=ESTIMATOR_IDS, trials=80, master_seed=4,
+                      output_path=str(tmp_path / "sweep.csv"))
+    rows = run_sweep(cfg)
+    assert len(rows) == 2 * 2 * len(ESTIMATOR_IDS)
+    for row in rows:
+        P = make_distribution(row.family, cfg.k)
+        assert row == monte_carlo_mse(P, row.n, row.estimator_id, cfg.trials,
+                                      cfg.master_seed, family=row.family)
+    chao = [r for r in rows if r.estimator_id == "chao"]
+    assert any(0 < r.undefined_count < cfg.trials for r in chao)
+
+
+@pytest.mark.skipif(np.__version__.split(".")[:2] != ["2", "4"],
+                    reason="CSV hashes were recorded with numpy 2.4")
+def test_sweep_csv_bytes_are_pinned(tmp_path):
+    # the random stream and the estimator arithmetic are part of the output
+    # contract: a change to either must update this hash deliberately
+    out = tmp_path / "sweep.csv"
+    run_sweep(SweepConfig(k=60, n_grid=(30.0, 90.0, 240.0),
+                          estimators=ESTIMATOR_IDS, trials=50, master_seed=5,
+                          output_path=str(out)))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "c0460c5daf12a5b82fc075e2d1478a71bd5b76a93bf84c527589f6357a734646")
 
 
 def test_run_sweep_row_count_and_csv(tmp_path):

@@ -127,6 +127,8 @@ def test_high_collision_examples():
     assert value == pytest.approx(bias * bias, abs=1e-6)
     with pytest.raises(BoundInapplicableError):
         high_collision_bound(1.0, 1.0, 1.0, k)
+    with pytest.raises(ValueError):
+        high_collision_bound(1.0, 10.0, 1.0, 1)
 
 
 def test_bias_bounds_vanish():
@@ -192,3 +194,29 @@ def test_bound_report_shape():
     assert lean.low_collision is None and lean.high_collision is None
     tiny = bound_report(1.0, 100)
     assert tiny.chao_worst_case is None and tiny.epsilon_term is None
+
+
+BOUND_ENTRY_POINTS = {
+    "plugin_mse_bounds": plugin_mse_bounds,
+    "epsilon_term": epsilon_term,
+    "chao_mse_leading_term": chao_mse_leading_term,
+    "chao_mse_upper": chao_mse_upper,
+    "bias_bounds": bias_bounds,
+    "low_collision_bound": lambda n, k: low_collision_bound(1.0, n, k),
+    "low_collision_bound_at_threshold": low_collision_bound_at_threshold,
+    "bound_report": bound_report,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_ENTRY_POINTS))
+def test_bound_entry_points_validate_n_and_k(name):
+    # n must be finite and positive (plugin_mse_bounds also takes n = 0),
+    # k at least 2; a plain ValueError, not BoundInapplicableError, which
+    # marks a violated hypothesis on valid input
+    fn = BOUND_ENTRY_POINTS[name]
+    for n, k in [(-5.0, 10), (math.nan, 10), (math.inf, 10), (200.0, 1),
+                 (200.0, 0)]:
+        with pytest.raises(ValueError) as err:
+            fn(n, k)
+        assert not isinstance(err.value, BoundInapplicableError)
+    assert fn(200.0, 10) is not None

@@ -110,3 +110,27 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["dist", "dump", "--family", "zipf"])
     assert err.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--n", "-5", "--k", "10"),
+    ("bounds", "--n", "nan", "--k", "10"),
+    ("bounds", "--n", "200", "--k", "1"),
+    ("sweep", "--trials", "0"),
+    ("sweep", "--workers", "0", "--k", "30", "--trials", "5"),
+    ("sweep", "--n-grid", "-3", "--trials", "5"),
+    ("dist", "dump", "--family", "uniform", "--k", "1"),
+    ("dist", "dump", "--family", "two_mixture", "--k", "7"),
+    ("estimate", "--counts", "missing-counts.csv"),
+], ids=lambda argv: " ".join(argv))
+def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
+    # bad input exits 1 with a single "error:" line, never a traceback;
+    # exit 2 stays reserved for falsified certificates
+    monkeypatch.chdir(tmp_path)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not any(tmp_path.iterdir())
