@@ -217,9 +217,7 @@ def load_config(path) -> SweepConfig:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key == "families":
-            values[key] = tuple(v.strip() for v in val.split(",") if v.strip())
-        elif key == "estimators":
+        if key in ("families", "estimators"):
             values[key] = tuple(v.strip() for v in val.split(",") if v.strip())
         elif key == "n_grid":
             values[key] = tuple(float(v) for v in val.split(",") if v.strip())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .distributions import DiscreteDistribution
-from .poisson_model import expected_prevalence, prevalence_second_moment
+from .poisson_model import check_n, expected_prevalence, prevalence_second_moment
 
 #: sigma for the Chao functional (beta_2 = 1): 1/sqrt(4 pi).
 SIGMA_CHAO = 1.0 / math.sqrt(4.0 * math.pi)
@@ -57,10 +57,7 @@ class BoundReport:
 def _check_n_k(n: float, k: int, *, allow_zero_n: bool = False) -> None:
     """Bound entry points take a finite n > 0 (n >= 0 where the bound is
     defined at n = 0) and k >= 2."""
-    if not (math.isfinite(n) and (n >= 0 if allow_zero_n else n > 0)):
-        raise ValueError(
-            f"n must be finite and {'>= 0' if allow_zero_n else '> 0'}, got {n}"
-        )
+    check_n(n, allow_zero=allow_zero_n)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
 

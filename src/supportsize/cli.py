@@ -17,6 +17,7 @@ import argparse
 import csv
 import sys
 import time
+from dataclasses import replace
 
 from . import bench, bounds, oracle
 from .distributions import FAMILIES, make_distribution
@@ -135,8 +136,6 @@ def _cmd_sweep(args) -> int:
         if value is not None:
             overrides[key] = value
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     rows = bench.run_sweep(cfg, workers=args.workers)
     print(f"wrote {len(rows)} rows to {cfg.output_path}")
@@ -145,6 +144,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     size = args.campaign_size
+    if size < 1:
+        raise ValueError(f"--campaign-size must be >= 1, got {size}")
     start = time.perf_counter()
     certs = oracle.certification_campaign(
         seed=args.seed,

@@ -14,16 +14,15 @@ the prevalence moment recursion, and the negative-regression property.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import stats
 
 from .bounds import sigma_of
-from .distributions import DiscreteDistribution
+from .distributions import FAMILIES, DiscreteDistribution, make_distribution
 from .poisson_model import expected_prevalence, prevalence_second_moment
 
 MAX_SYMBOLS = 4
@@ -127,73 +126,64 @@ def build_instance(
 ) -> OracleInstance:
     """Enumerate the truncated product-Poisson law for the given means.
 
-    The per-symbol cutoff is the smallest M whose Poisson upper tail is below
-    tail_tol / m, so the un-enumerated mass is below tail_tol overall.
+    Cutoff rule: symbol x keeps the counts 0..M_x, where M_x is the smallest
+    M whose Poisson upper tail P(N_x > M) is below tail_tol / m, so the
+    un-enumerated mass is below tail_tol overall. One vectorised Poisson
+    quantile gives a first guess that is stepped up where its tail is still
+    too heavy.
+
+    Grid: the cells are every multiplicity vector in the box
+    prod_x {0..M_x}, in row-major order (the last symbol varies fastest).
+    A cell's probability is the product of its per-symbol Poisson pmfs,
+    multiplied in symbol order, and row c of phi_table holds the prevalences
+    phi_0..phi_{max M} of cell c. The cell count is checked against cell_cap
+    before any array is allocated.
     """
     means = tuple(float(x) for x in means)
     m = len(means)
     if not 1 <= m <= MAX_SYMBOLS:
         raise ValueError(f"alphabet size must be 1..{MAX_SYMBOLS}, got {m}")
-    if any(lam <= 0 for lam in means):
-        raise ValueError("all means must be positive")
+    if not all(0 < lam < math.inf for lam in means):
+        raise ValueError("all means must be positive and finite")
 
+    lam = np.array(means)
     per_tol = tail_tol / m
-    cutoffs = []
-    for lam in means:
-        M = int(stats.poisson.ppf(1.0 - per_tol, lam))
-        while stats.poisson.sf(M, lam) >= per_tol:
-            M += 1
-        cutoffs.append(M)
+    guess = stats.poisson.ppf(1.0 - per_tol, lam)
+    if not np.all(np.isfinite(guess)):
+        raise ValueError(f"tail_tol={tail_tol} gives no finite cutoff")
+    cutoffs = guess.astype(np.int64)
+    while np.any(heavy := stats.poisson.sf(cutoffs, lam) >= per_tol):
+        cutoffs[heavy] += 1
 
-    cells = 1
-    for M in cutoffs:
-        cells *= M + 1
+    max_counts = tuple(cutoffs.tolist())
+    shape = tuple(M + 1 for M in max_counts)
+    cells = math.prod(shape)
     if cells > cell_cap:
         raise ValueError(f"enumeration of {cells} cells exceeds cap {cell_cap}")
 
-    axes = [np.arange(M + 1) for M in cutoffs]
-    counts = np.array(list(itertools.product(*axes)), dtype=np.int64)
-    probs = np.ones(cells)
-    for j, (lam, M) in enumerate(zip(means, cutoffs)):
-        probs *= stats.poisson.pmf(np.arange(M + 1), lam)[counts[:, j]]
+    counts = np.indices(shape).reshape(m, cells).T
+    width = max(shape)
+    pmf = stats.poisson.pmf(np.arange(width), lam[:, None])
+    per_symbol = [pmf[j, :M] for j, M in enumerate(shape)]
+    probs = reduce(np.multiply.outer, per_symbol).ravel()
     tail_mass = 1.0 - math.fsum(probs)
 
-    width = max(cutoffs) + 1
     phi_table = np.zeros((cells, width), dtype=np.int64)
+    rows = np.arange(cells)
     for j in range(m):
-        np.add.at(phi_table, (np.arange(cells), counts[:, j]), 1)
+        phi_table[rows, counts[:, j]] += 1
 
     counts.flags.writeable = False
     probs.flags.writeable = False
     phi_table.flags.writeable = False
     return OracleInstance(
         means=means,
-        max_counts=tuple(cutoffs),
+        max_counts=max_counts,
         counts=counts,
         probs=probs,
         tail_mass=tail_mass,
         phi_table=phi_table,
     )
-
-
-@dataclass(frozen=True)
-class ExpectationResult:
-    value: float
-    error: float  # tail_mass * sup |g| over the enumerated range
-
-    def __float__(self):
-        return self.value
-
-
-def exact_expectation(inst: OracleInstance, g) -> ExpectationResult:
-    """E[g(N_1, ..., N_m)] over the truncated joint law.
-
-    g maps a multiplicity vector (1-D int array) to a float.
-    """
-    values = np.array([g(row) for row in inst.counts], dtype=float)
-    value = float(values @ inst.probs)
-    error = inst.tail_mass * float(np.max(np.abs(values), initial=0.0))
-    return ExpectationResult(value=value, error=error)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +231,8 @@ def _skip(name: str, detail: str) -> Certificate:
 
 def _tail_slack(inst: OracleInstance, *value_arrays) -> float:
     """Tail-mass error bar combining sups of the enumerated integrands."""
-    total = 0.0
-    for values in value_arrays:
-        total += inst.tail_mass * float(np.max(np.abs(values), initial=0.0))
-    return total + 1e-12 * (1.0 + sum(
-        float(np.max(np.abs(v), initial=0.0)) for v in value_arrays
-    ))
+    sups = [float(np.max(np.abs(v), initial=0.0)) for v in value_arrays]
+    return sum(inst.tail_mass * sup for sup in sups) + 1e-12 * (1.0 + sum(sups))
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +372,14 @@ def check_inverse_falling_moments(supports, max_r: int = 3) -> Certificate:
     ex = _charpoly_mean(dist)
     if ex <= 0:
         return _skip("inverse_falling_moments", "E[X] = 0")
-    worst = math.inf
-    for r in range(1, max_r + 1):
-        lhs = math.fsum(
-            mass * np.prod([1.0 / (s + j) for j in range(1, r + 1)])
-            for s, mass in dist.items()
-        )
-        rhs = ex**-r
-        worst = min(worst, rhs - lhs)
+    s = np.fromiter(dist.keys(), dtype=float, count=len(dist))
+    mass = np.fromiter(dist.values(), dtype=float, count=len(dist))
+    # column r-1 holds prod_{j=1..r} (s + j)^{-1} at every support point s
+    inv = np.cumprod(1.0 / (s[:, None] + np.arange(1, max_r + 1)), axis=1)
+    worst = min(
+        (ex**-r - math.fsum(mass * inv[:, r - 1]) for r in range(1, max_r + 1)),
+        default=math.inf,
+    )
     slack = 1e-12 * max(1.0, ex ** -max_r)
     return _certify("inverse_falling_moments", worst, slack, math.nan, math.nan,
                     detail=f"r up to {max_r}")
@@ -615,6 +601,8 @@ def certification_campaign(
     Returns a flat list of certificates; a single falsification means one
     of the certified inequalities failed numerically beyond tail slack.
     """
+    if min(decoupling, charpoly_cases, moment, degree2, conditional, regression) < 0:
+        raise ValueError("per-check counts must be >= 0")
     rng = np.random.default_rng(seed)
     certs: list[Certificate] = []
 
@@ -681,8 +669,6 @@ def certification_campaign(
         i, j = rng.choice(4, size=2, replace=False)
         shape = shapes[int(rng.integers(len(shapes)))]
         certs.append(check_negative_regression(inst, int(i), int(j), shape))
-
-    from .distributions import FAMILIES, make_distribution
 
     for family in FAMILIES:
         P = make_distribution(family, zoo_k)

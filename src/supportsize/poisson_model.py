@@ -69,6 +69,15 @@ class Fingerprint:
         return max(self.phi, default=0)
 
 
+def check_n(n: float, *, allow_zero: bool = False) -> None:
+    """Reject an expected sample size that is not finite and > 0 (>= 0 with
+    allow_zero), the domain of every entry point that takes n."""
+    if not (math.isfinite(n) and (n >= 0 if allow_zero else n > 0)):
+        raise ValueError(
+            f"n must be finite and {'>= 0' if allow_zero else '> 0'}, got {n}"
+        )
+
+
 def sample(P: DiscreteDistribution, n: float, seed) -> MultiplicitySample:
     """Draw per-symbol multiplicities, Poisson(n * p_x) independently.
 
@@ -76,8 +85,7 @@ def sample(P: DiscreteDistribution, n: float, seed) -> MultiplicitySample:
     small means and an exact transformed-rejection method for large ones,
     never a normal approximation.
     """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
+    check_n(n)
     rng = np.random.default_rng(seed)
     return MultiplicitySample(rng.poisson(n * P.probs))
 
@@ -99,6 +107,7 @@ def fingerprint(
 
 def _pmf(P: DiscreteDistribution, n: float, i: int) -> np.ndarray:
     """Per-symbol Poisson pmf of i at mean n*p_x (log-space internally)."""
+    check_n(n)
     return stats.poisson.pmf(i, n * P.probs)
 
 
@@ -123,6 +132,7 @@ def exact_plugin_mse(P: DiscreteDistribution, n: float) -> float:
     The plug-in error is phi_0, a sum of independent Bernoulli(e^{-n p_x})
     indicators, so E[phi_0^2] decomposes into squared mean plus variance.
     """
+    check_n(n)
     z = np.exp(-n * P.probs)
     s = math.fsum(z)
     return s * s + math.fsum(z * (1.0 - z))

@@ -122,6 +122,8 @@ def test_usage_error_exit_code(capsys):
     ("dist", "dump", "--family", "uniform", "--k", "1"),
     ("dist", "dump", "--family", "two_mixture", "--k", "7"),
     ("estimate", "--counts", "missing-counts.csv"),
+    ("verify", "--campaign-size", "-1"),
+    ("verify", "--campaign-size", "0"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     # bad input exits 1 with a single "error:" line, never a traceback;

@@ -1,11 +1,17 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from supportsize.distributions import DiscreteDistribution, make_distribution
 from supportsize.oracle import (
+    DEFAULT_TAIL_TOL,
     LinearFunctional,
     PolyFunctional,
     build_instance,
@@ -22,7 +28,6 @@ from supportsize.oracle import (
     check_moment_bound,
     check_negative_regression,
     dominator_value,
-    exact_expectation,
     f_inv,
     f_inv_falling2,
     f_inv_sq,
@@ -35,7 +40,7 @@ from supportsize.poisson_model import expected_prevalence
 
 
 # ---------------------------------------------------------------------------
-# Instance construction and exact expectations
+# Instance construction
 # ---------------------------------------------------------------------------
 
 
@@ -72,13 +77,40 @@ def test_build_instance_validation():
         build_instance([50.0] * 4, cell_cap=1000)
 
 
-def test_exact_expectation_examples():
-    inst = build_instance([1.5])
-    one = exact_expectation(inst, lambda c: 1.0)
-    assert one.value == pytest.approx(1.0 - inst.tail_mass, abs=1e-14)
-    zero_ind = exact_expectation(inst, lambda c: float(c[0] == 0))
-    assert zero_ind.value == pytest.approx(math.exp(-1.5), abs=1e-12)
-    assert zero_ind.error <= inst.tail_mass
+def reference_instance(means, tail_tol=DEFAULT_TAIL_TOL):
+    """Cutoffs, cells and cell probabilities by per-symbol quantile search and
+    a per-cell itertools.product enumeration."""
+    per_tol = tail_tol / len(means)
+    cutoffs = []
+    for lam in means:
+        M = int(stats.poisson.ppf(1.0 - per_tol, lam))
+        while stats.poisson.sf(M, lam) >= per_tol:
+            M += 1
+        cutoffs.append(M)
+    axes = [np.arange(M + 1) for M in cutoffs]
+    counts = np.array(list(itertools.product(*axes)), dtype=np.int64)
+    probs = np.ones(len(counts))
+    for j, (lam, M) in enumerate(zip(means, cutoffs)):
+        probs *= stats.poisson.pmf(np.arange(M + 1), lam)[counts[:, j]]
+    return tuple(cutoffs), counts, probs
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4))
+def test_build_instance_matches_product_enumeration(means):
+    inst = build_instance(means)
+    cutoffs, counts, probs = reference_instance(means)
+    assert inst.max_counts == cutoffs
+    per_tol = DEFAULT_TAIL_TOL / len(means)
+    for lam, M in zip(means, cutoffs):
+        assert stats.poisson.sf(M, lam) < per_tol <= stats.poisson.sf(M - 1, lam)
+    assert inst.counts.dtype == counts.dtype
+    np.testing.assert_array_equal(inst.counts, counts)
+    assert inst.probs.tobytes() == probs.tobytes()
+    phi = np.array([np.bincount(row, minlength=max(cutoffs) + 1) for row in counts])
+    assert inst.phi_table.dtype == phi.dtype
+    np.testing.assert_array_equal(inst.phi_table, phi)
+    assert inst.tail_mass <= DEFAULT_TAIL_TOL
 
 
 def test_prevalence_matches_expected_prevalence():
@@ -235,6 +267,42 @@ def test_inverse_falling_moments_point_mass():
     assert cert.passed
 
 
+def normalized(weights):
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+# values are 0 or at least 1e-3: E[X]^-r overflows a float for E[X] near
+# the bottom of the float range
+support_values = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+supports = st.lists(
+    st.lists(st.tuples(support_values, st.floats(0.01, 1.0)),
+             min_size=1, max_size=4)
+    .map(lambda pts: list(zip([v for v, _ in pts],
+                              normalized([w for _, w in pts])))),
+    min_size=1, max_size=5,
+)
+
+
+@settings(deadline=None)
+@given(supports, st.integers(1, 5))
+def test_inverse_falling_moments_matches_per_item_products(supports, max_r):
+    cert = check_inverse_falling_moments(supports, max_r)
+    dist = charpoly(supports)
+    ex = math.fsum(s * mass for s, mass in dist.items())
+    if ex <= 0:
+        assert cert.status == "skipped"
+        return
+    worst = math.inf
+    for r in range(1, max_r + 1):
+        lhs = math.fsum(
+            mass * np.prod([1.0 / (s + j) for j in range(1, r + 1)])
+            for s, mass in dist.items()
+        )
+        worst = min(worst, ex**-r - lhs)
+    assert cert.margin == worst
+
+
 # ---------------------------------------------------------------------------
 # Moment checks
 # ---------------------------------------------------------------------------
@@ -349,6 +417,26 @@ def test_cauchy_schwarz_single_symbol_equality():
 # ---------------------------------------------------------------------------
 # Campaign
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(
+    np.__version__.split(".")[:2] != ["2", "4"]
+    or scipy.__version__.split(".")[:2] != ["1", "17"],
+    reason="the campaign hash was recorded with numpy 2.4 and scipy 1.17")
+def test_campaign_certificates_are_pinned():
+    # the verify ratios at campaign size 10; instance enumeration, the
+    # checks and their slack are part of the output contract
+    certs = certification_campaign(
+        seed=0, decoupling=10, charpoly_cases=20, moment=10, degree2=10,
+        conditional=10, regression=10,
+    )
+    assert hashlib.sha256(repr(certs).encode()).hexdigest() == (
+        "509667bafe17841e9960dacc26691bb829c5d1de7f83532d682a2c282c4e4d90")
+
+
+def test_campaign_rejects_negative_counts():
+    with pytest.raises(ValueError):
+        certification_campaign(moment=-1)
 
 
 def test_small_campaign_has_no_falsifications():

@@ -56,6 +56,22 @@ def test_sample_rejects_nonpositive_n():
         sample(P, 0.0, seed=0)
 
 
+@pytest.mark.parametrize("n", [-5.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda P, n: sample(P, n, seed=0),
+    lambda P, n: expected_prevalence(P, n, 0),
+    lambda P, n: prevalence_second_moment(P, n, 1),
+    exact_plugin_mse,
+    exact_bias_expression,
+], ids=["sample", "expected_prevalence", "prevalence_second_moment",
+        "exact_plugin_mse", "exact_bias_expression"])
+def test_entry_points_reject_bad_n(entry, n):
+    # n must be finite and > 0: at n = -5 the plug-in MSE formula returns
+    # 261.1 for uniform k = 10, above the class worst case k^2 + k = 110
+    with pytest.raises(ValueError, match="n must be finite and > 0"):
+        entry(make_distribution("uniform", 10), n)
+
+
 def test_fingerprint_examples():
     P = make_distribution("uniform", 4)
     fp = fingerprint(MultiplicitySample(np.array([0, 1, 1, 3])), P)
