@@ -30,7 +30,7 @@ from .estimators import (
     support_estimate,
     unseen_estimates,
 )
-from .poisson_model import Fingerprint
+from .poisson_model import Fingerprint, check_n
 
 DEFAULT_FAMILIES = ("uniform", "zipf", "geometric", "two_mixture")
 DEFAULT_ESTIMATORS = ("plugin", "modified_chao", "chebyshev")
@@ -98,8 +98,7 @@ def _draw_cell(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not (math.isfinite(n) and n > 0):
-        raise ValueError(f"n must be finite and > 0, got {n}")
+    check_n(n)
     means = n * P.probs
     occupancy = np.empty((trials, width), dtype=np.int64)
     for t in range(trials):

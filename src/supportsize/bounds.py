@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from scipy.special import lambertw
+
 from .distributions import DiscreteDistribution
 from .poisson_model import check_n, expected_prevalence, prevalence_second_moment
 
@@ -66,19 +68,11 @@ def _check_n_k(n: float, k: int, *, allow_zero_n: bool = False) -> None:
 def solve_alpha() -> float:
     """Unique positive root of u^2 = 4 e^{-(u+2)}, about 0.5569.
 
-    Bracketed bisection on [0.1, 1.0] to 1e-12 absolute; computed once and
-    memoized so downstream bounds never inherit the 4-digit literal.
+    Closed form alpha = 2 W(1/e) with W the principal Lambert W branch, since
+    the equation is (u/2) e^{u/2} = e^{-1}; memoized so downstream bounds
+    never inherit the 4-digit literal.
     """
-    f = lambda u: u * u - 4.0 * math.exp(-(u + 2.0))
-    lo, hi = 0.1, 1.0
-    assert f(lo) < 0 < f(hi)
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(2.0 * lambertw(math.exp(-1.0)).real)
 
 
 def sigma_of(coeffs) -> float:

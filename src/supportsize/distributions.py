@@ -68,23 +68,16 @@ def support_size(P: DiscreteDistribution) -> int:
     return len(P.probs)
 
 
-def _truncated_support(weights, k: int) -> int:
+def _truncated_support(weights: np.ndarray, k: int) -> int:
     """Largest prefix length m with weights[m-1]/sum(weights[:m]) >= 1/k.
 
-    ``weights`` is a function of the 1-based symbol index, assumed
-    non-increasing so the minimum of a prefix is its last weight. Iterates
-    upward from m=1; the ratio is non-increasing in m, so the first failure
-    ends the search. Capped at k.
+    ``weights`` holds the first k weights, assumed non-increasing so the
+    minimum of a prefix is its last weight. The ratio is non-increasing in
+    m, so m is the first index where it fails the floor (k if none does);
+    the prefix sums add left to right, as a running total would.
     """
-    partial = 0.0
-    m = 0
-    floor = 1.0 / k
-    while m < k:
-        w = weights(m + 1)
-        if w / (partial + w) < floor * (1.0 - 1e-12):
-            break
-        partial += w
-        m += 1
+    ok = weights / np.cumsum(weights) >= (1.0 / k) * (1.0 - 1e-12)
+    m = int(np.append(ok, False).argmin())
     if m == 0:
         raise ValueError("no prefix satisfies the 1/k floor")
     return m
@@ -120,12 +113,9 @@ def make_distribution(
     if family == "uniform":
         weights = np.ones(k)
     elif family == "zipf":
-        m = _truncated_support(lambda i: 1.0 / i, k) if strict else (support or k)
-        weights = 1.0 / np.arange(1, m + 1)
+        weights = 1.0 / np.arange(1, (k if strict else support or k) + 1)
     elif family == "geometric":
-        a = 1.0 - 1.0 / k
-        m = _truncated_support(lambda i: a ** (i - 1), k) if strict else (support or k)
-        weights = a ** np.arange(m)
+        weights = (1.0 - 1.0 / k) ** np.arange(k if strict else support or k)
     else:  # two_mixture
         if k % 2 != 0:
             raise ValueError("two_mixture requires even k")
@@ -137,5 +127,7 @@ def make_distribution(
             [np.full(n_low, 1.0 / k), np.full(m // 2, 3.0 / k)]
         )
 
+    if strict and family in ("zipf", "geometric"):
+        weights = weights[: _truncated_support(weights, k)]
     probs = weights / math.fsum(weights)
     return DiscreteDistribution(probs=probs, k=k, strict=strict, family=family)

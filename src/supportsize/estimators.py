@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import binom
+from numpy.polynomial import Chebyshev, Polynomial
 
 from .poisson_model import Fingerprint
 
@@ -160,15 +160,6 @@ def support_estimate(
     return EstimatorOutput(value=value, estimator_id=unseen)
 
 
-def _shift_polynomial(coeffs: np.ndarray, shift: float) -> np.ndarray:
-    """Coefficients of p(x + shift) in the monomial basis."""
-    out = np.zeros_like(coeffs)
-    for i in range(len(coeffs)):
-        for j in range(i + 1):
-            out[j] += coeffs[i] * shift ** (i - j) * binom(i, j)
-    return out
-
-
 @lru_cache(maxsize=256)
 def chebyshev_coefficients(
     k: int, n: float, c0: float = DEFAULT_C0, c1: float = DEFAULT_C1
@@ -178,28 +169,19 @@ def chebyshev_coefficients(
 
     Built from the degree-L Chebyshev polynomial shifted to the interval
     [1/k, c1 log k / n] and rescaled so the estimator interpolates between
-    aggressive extrapolation on rare symbols and the plug-in on common ones.
+    aggressive extrapolation on rare symbols and the plug-in on common ones:
+    with p_j the power-series coefficients of that polynomial in y = n x,
+    g_j = 1 - j! p_j / p_0.
     Returns an empty array (pure plug-in) when the degree cutoff is below 1
     or the interval degenerates, which happens once n is large enough that
     every symbol is well sampled.
     """
     L = _degree(k, c0)
-    left, right = 1.0 / k, c1 * math.log(k) / n
-    if L < 1 or right <= left:
+    if L < 1 or c1 * math.log(k) / n <= 1.0 / k:
         return np.zeros(0)
-    cheb_coeffs = np.polynomial.chebyshev.cheb2poly(
-        np.polynomial.chebyshev.Chebyshev.basis(L).coef
-    )
-    shift = (right + left) / (right - left)
-    scaling = 2.0 / (n * (right - left))
-    a = _shift_polynomial(cheb_coeffs, -shift)
-    g = -a / a[0]
-    g[0] = 0.0
-    for j in range(1, L + 1):
-        for i in range(1, j + 1):
-            g[j] *= i * scaling
-        g[j] += 1.0
-    coeffs = g[1:]
+    domain = [n / k, c1 * math.log(k)]
+    p = Chebyshev.basis(L, domain=domain).convert(kind=Polynomial).coef
+    coeffs = 1.0 - np.cumprod(np.arange(1.0, L + 1)) * p[1:] / p[0]
     coeffs.flags.writeable = False
     return coeffs
 

@@ -20,6 +20,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 from scipy import stats
+from scipy.special import stirling2
 
 from .bounds import sigma_of
 from .distributions import FAMILIES, DiscreteDistribution, make_distribution
@@ -372,6 +373,10 @@ def check_inverse_falling_moments(supports, max_r: int = 3) -> Certificate:
     ex = _charpoly_mean(dist)
     if ex <= 0:
         return _skip("inverse_falling_moments", "E[X] = 0")
+    try:
+        top = ex ** -max_r
+    except OverflowError:
+        return _skip("inverse_falling_moments", f"E[X]^-{max_r} overflows")
     s = np.fromiter(dist.keys(), dtype=float, count=len(dist))
     mass = np.fromiter(dist.values(), dtype=float, count=len(dist))
     # column r-1 holds prod_{j=1..r} (s + j)^{-1} at every support point s
@@ -380,7 +385,7 @@ def check_inverse_falling_moments(supports, max_r: int = 3) -> Certificate:
         (ex**-r - math.fsum(mass * inv[:, r - 1]) for r in range(1, max_r + 1)),
         default=math.inf,
     )
-    slack = 1e-12 * max(1.0, ex ** -max_r)
+    slack = 1e-12 * max(1.0, top)
     return _certify("inverse_falling_moments", worst, slack, math.nan, math.nan,
                     detail=f"r up to {max_r}")
 
@@ -392,21 +397,13 @@ def check_inverse_falling_moments(supports, max_r: int = 3) -> Certificate:
 
 @lru_cache(maxsize=64)
 def moment_coefficients(h: int) -> tuple[int, ...]:
-    """Integer coefficients (c_{h,1}, ..., c_{h,h}) of the moment recursion
-    c_{h,1} = 1, c_{h,k} = sum_{l=k-1}^{h-1} C(h-1, l) c_{l,k-1}."""
+    """Integer coefficients (c_{h,1}, ..., c_{h,h}) of the Poisson moment
+    bound: the Stirling numbers of the second kind S(h, 1..h), the same
+    numbers as the recursion c_{h,1} = 1,
+    c_{h,k} = sum_{l=k-1}^{h-1} C(h-1, l) c_{l,k-1}."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    if h == 1:
-        return (1,)
-    out = [1]
-    for k in range(2, h + 1):
-        out.append(
-            sum(
-                math.comb(h - 1, l) * moment_coefficients(l)[k - 2]
-                for l in range(k - 1, h)
-            )
-        )
-    return tuple(out)
+    return tuple(map(int, stirling2(h, np.arange(1, h + 1), exact=True)))
 
 
 def check_moment_bound(inst: OracleInstance, j: int, h: int) -> Certificate:

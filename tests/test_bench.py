@@ -153,7 +153,7 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
                           estimators=ESTIMATOR_IDS, trials=50, master_seed=5,
                           output_path=str(out)))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "c0460c5daf12a5b82fc075e2d1478a71bd5b76a93bf84c527589f6357a734646")
+        "527cca81859460397a4ed3cf128a20814b9fe32b775d3888b879e559c55be6b1")
 
 
 def test_run_sweep_row_count_and_csv(tmp_path):

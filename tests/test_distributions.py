@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supportsize.distributions import (
     DiscreteDistribution,
@@ -73,6 +75,34 @@ def test_geometric_strict_truncation_monotone():
     P = make_distribution("geometric", 1000)
     assert 1 < support_size(P) < 1000
     assert np.all(np.diff(P.probs) < 0)
+
+
+def loop_truncated_support(weight, k):
+    """Reference: grow the prefix one symbol at a time while the new last
+    weight, over the running total, clears the floor (1-based weight)."""
+    partial, m = 0.0, 0
+    while m < k:
+        w = weight(m + 1)
+        if w / (partial + w) < (1.0 / k) * (1.0 - 1e-12):
+            break
+        partial += w
+        m += 1
+    return m
+
+
+@settings(deadline=None)
+@given(st.integers(2, 20_000))
+@example(100_000)
+def test_strict_truncation_matches_running_total_loop(k):
+    a = 1.0 - 1.0 / k
+    m = loop_truncated_support(lambda i: 1.0 / i, k)
+    weights = 1.0 / np.arange(1, m + 1)
+    expected = weights / math.fsum(weights)
+    assert make_distribution("zipf", k).probs.tobytes() == expected.tobytes()
+    m = loop_truncated_support(lambda i: a ** (i - 1), k)
+    weights = a ** np.arange(m)
+    expected = weights / math.fsum(weights)
+    assert make_distribution("geometric", k).probs.tobytes() == expected.tobytes()
 
 
 def test_lenient_mode_skips_floor():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from supportsize.distributions import make_distribution
 from supportsize.estimators import (
@@ -94,6 +95,29 @@ def test_chebyshev_degenerate_interval_is_plugin():
     assert len(chebyshev_coefficients(k, n)) == 0
     f = fp({1: 3, 2: 2})
     assert chebyshev_support(f, k, n).value == 5.0
+
+
+@pytest.mark.parametrize("k", [10**2, 10**3, 10**4, 10**5, 10**6])
+@pytest.mark.parametrize("ratio", [0.25, 0.5, 1.0, 2.0, 4.0])
+def test_chebyshev_coefficients_match_shifted_chebyshev_polynomial(k, ratio):
+    # 1 + sum_j (1 - g_j) (n x)^j / j! is T_L(t(x)) / T_L(t(0)), with t the
+    # affine map of [1/k, c1 ln k / n] onto [-1, 1]
+    n = ratio * k
+    g = chebyshev_coefficients(k, n)
+    left, right = 1.0 / k, 0.5 * math.log(k) / n
+    if right <= left:
+        assert len(g) == 0
+        return
+    L = math.floor(0.45 * math.log(k))
+    assert len(g) == L
+    x = np.linspace(left, right, 50)
+    j = np.arange(1, L + 1)
+    lhs = 1.0 + ((n * x[:, None]) ** j * (1.0 - g) / np.cumprod(j)).sum(axis=1)
+    t = lambda x: (2.0 * x - (left + right)) / (right - left)
+    T_L = np.eye(L + 1)[L]
+    rhs = chebval(t(x), T_L) / chebval(t(0.0), T_L)
+    # |rhs| <= 1 on the interval: the tolerance is relative to the leading 1
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
 
 
 def test_chebyshev_monte_carlo_band():

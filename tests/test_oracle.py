@@ -267,13 +267,21 @@ def test_inverse_falling_moments_point_mass():
     assert cert.passed
 
 
+@pytest.mark.parametrize("max_r", [1, 3])
+def test_inverse_falling_moments_skips_when_mean_power_overflows(max_r):
+    # E[X] = 2.2e-311: E[X]^-r is beyond the float range
+    cert = check_inverse_falling_moments([[(2.225073858507e-311, 1.0)]], max_r)
+    assert cert.status == "skipped"
+    assert cert.detail == f"E[X]^-{max_r} overflows"
+
+
 def normalized(weights):
     total = sum(weights)
     return [w / total for w in weights]
 
 
 # values are 0 or at least 1e-3: E[X]^-r overflows a float for E[X] near
-# the bottom of the float range
+# the bottom of the float range, a case tested on its own above
 support_values = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
 supports = st.lists(
     st.lists(st.tuples(support_values, st.floats(0.01, 1.0)),
@@ -334,10 +342,19 @@ def test_moment_coefficients_base_cases():
 
 
 def test_moment_coefficients_brute_force_oracle():
-    # the recursion must reproduce the exhaustive expansion of
+    # the coefficients must reproduce the exhaustive expansion of
     # E[(sum of indicators)^h]: partitions of the h factors by block count
     for h in range(1, 7):
         assert moment_coefficients(h) == brute_force_partition_counts(h)
+
+
+def test_moment_coefficients_match_stirling_recurrence():
+    # S(h, m) = m S(h-1, m) + S(h-1, m-1), S(0, 0) = 1, in exact integers
+    row = [1]
+    for h in range(1, 30):
+        row = [0] + [m * (row[m] if m < len(row) else 0) + row[m - 1]
+                     for m in range(1, h + 1)]
+        assert moment_coefficients(h) == tuple(row[1:])
 
 
 def test_moment_bound_equality_at_h1():
