@@ -1,8 +1,9 @@
 """Small Monte Carlo MSE sweep over the zoo, written to CSV.
 
-A scaled-down version of the default sweep. Trial t of every (family, n)
-cell draws from (master_seed, t) alone, so the sweep draws each cell once
-and scores every estimator on the same counts; the output CSV is
+A scaled-down version of the default sweep. The sweep draws each
+(family, n) cell once, in blocks of bench.BLOCK trials seeded by
+(master_seed, block index), and scores every estimator on the same samples;
+trial t's sample depends only on (master_seed, t), and the output CSV is
 byte-identical run to run.
 """
 

@@ -1,13 +1,15 @@
 """Monte Carlo MSE harness, sweep configuration, and empirical-data paths.
 
-Every trial derives its randomness solely from (master_seed, trial_index),
-so every estimator scored on a (distribution, n) cell sees the same counts.
-A sweep therefore draws each cell once, as a truncated occupancy matrix,
-and scores every configured estimator on it with
-estimators.unseen_estimates. Trials run serially; the workers argument is
-accepted for compatibility and changes neither results nor run time.
-Undefined Chao trials (phi_2 = 0) are excluded from the mean and reported
-in undefined_count, never imputed.
+A (distribution, n) cell is drawn once, as a truncated occupancy matrix,
+and every configured estimator is scored on it with
+estimators.unseen_estimates, so all estimators see the same samples. The
+draw samples each symbol's class min(N_x, W) by inverting its truncated
+Poisson cdf, in blocks of BLOCK trials: block b takes its uniforms from
+default_rng([master_seed, b]), so trial t's row depends only on
+(master_seed, t), never on the trial count. Trials run serially; the
+workers argument is accepted for compatibility and changes neither results
+nor run time. Undefined Chao trials (phi_2 = 0) are excluded from the mean
+and reported in undefined_count, never imputed.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from .distributions import DiscreteDistribution, make_distribution, support_size
 from .estimators import (
@@ -34,6 +37,14 @@ from .poisson_model import Fingerprint, check_n
 
 DEFAULT_FAMILIES = ("uniform", "zipf", "geometric", "two_mixture")
 DEFAULT_ESTIMATORS = ("plugin", "modified_chao", "chebyshev")
+
+#: Trials per random block of a cell. Part of the output contract: a new
+#: value changes every sweep CSV.
+BLOCK = 64
+#: Symbols per batch of uniforms. It bounds a block's working memory at about
+#: BLOCK * _SYMBOL_CHUNK * (8 + W) bytes for any support size; the uniforms
+#: are consumed symbol by symbol, so it changes no draw.
+_SYMBOL_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -93,18 +104,32 @@ def _draw_cell(
 ) -> np.ndarray:
     """(trials x width) occupancy matrix of one (P, n) cell.
 
-    Row t holds phi_0..phi_{width-1} of the Poisson(n p) counts drawn from
-    default_rng([master_seed, t]); the counts themselves are not kept.
+    Row t holds phi_0..phi_{width-1} of one Poisson(n p) sample. Only each
+    symbol's class min(N_x, width) is drawn: with F[x, j] = P(N_x <= j) and
+    U uniform on [0, 1), cnt_j = #{x : U_x < F[x, j]} is phi_0 + ... + phi_j.
+    Counts at or above width are lumped together; they enter the estimators
+    only through seen = support - phi_0. The law is exact up to the float
+    rounding of F.
+
+    Trial t is row t mod BLOCK of block t // BLOCK, whose uniforms come from
+    default_rng([master_seed, t // BLOCK]), BLOCK per symbol in symbol order.
+    Whole blocks are always drawn, so the rows for a trial count are the
+    leading rows for any larger one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_n(n)
-    means = n * P.probs
-    occupancy = np.empty((trials, width), dtype=np.int64)
-    for t in range(trials):
-        counts = np.random.default_rng([master_seed, t]).poisson(means)
-        occupancy[t] = np.bincount(counts, minlength=width)[:width]
-    return occupancy
+    cdf = special.pdtr(np.arange(width), n * P.probs[:, None])
+    blocks = -(-trials // BLOCK)
+    cum = np.zeros((blocks, width, BLOCK), dtype=np.int64)
+    for b in range(blocks):
+        rng = np.random.default_rng([master_seed, b])
+        for lo in range(0, len(cdf), _SYMBOL_CHUNK):
+            chunk = cdf[lo : lo + _SYMBOL_CHUNK, :, None]
+            u = rng.random((len(chunk), 1, BLOCK))
+            cum[b] += np.count_nonzero(u < chunk, axis=0)
+    cum = cum.transpose(0, 2, 1).reshape(-1, width)[:trials]
+    return np.diff(cum, axis=1, prepend=0)
 
 
 def _score(
@@ -161,9 +186,10 @@ def monte_carlo_mse(
 ) -> MseRow:
     """Monte Carlo estimate of the MSE of a support estimator under P.
 
-    Trial t draws from default_rng([master_seed, t]), so the row equals the
-    matching run_sweep row, which scores every estimator on one shared draw
-    of the cell. workers (>= 1) changes neither the result nor the run time.
+    The cell is drawn as in run_sweep (see _draw_cell), so the row equals
+    the matching run_sweep row, which scores every estimator on one shared
+    draw of the cell. workers (>= 1) changes neither the result nor the run
+    time.
     """
     _check_workers(workers)
     occupancy = _draw_cell(P, n, trials, master_seed, occupancy_width(P.k, c0))

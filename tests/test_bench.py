@@ -1,12 +1,17 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from supportsize import bench
 from supportsize.bench import (
+    BLOCK,
     CSV_HEADER,
     SweepConfig,
+    _draw_cell,
     estimate_from_counts,
     ingest_counts,
     load_config,
@@ -14,15 +19,28 @@ from supportsize.bench import (
     run_sweep,
     write_rows,
 )
-from supportsize.distributions import make_distribution
+from supportsize.distributions import (
+    FAMILIES,
+    DiscreteDistribution,
+    make_distribution,
+)
 from supportsize.estimators import (
     ESTIMATOR_IDS,
     UndefinedEstimateError,
     modified_chao_unseen,
+    occupancy_width,
     plugin_support,
     support_estimate,
 )
-from supportsize.poisson_model import exact_plugin_mse, fingerprint, sample
+from supportsize.oracle import build_instance
+from supportsize.poisson_model import (
+    Fingerprint,
+    exact_plugin_mse,
+    expected_prevalence,
+    fingerprint,
+    prevalence_second_moment,
+    sample,
+)
 
 
 def test_monte_carlo_deterministic():
@@ -43,14 +61,23 @@ def test_monte_carlo_matches_exact_plugin_mse():
 
 
 def test_monte_carlo_agrees_with_direct_estimators():
-    # the vectorized trial path must reproduce the one-shot estimator path
+    # the vectorized unseen_estimates path must reproduce the one-shot
+    # support_estimate path on the same fingerprints: those of the cell's own
+    # occupancy rows, with the seen remainder (counts >= W) placed at key W
     P = make_distribution("two_mixture", 60)
-    n, seed = 90.0, 17
+    n, seed, trials = 90.0, 17, 40
+    width = occupancy_width(P.k)
+    fps = []
+    for row in _draw_cell(P, n, trials, seed, width).tolist():
+        phi = dict(enumerate(row))
+        phi0 = phi.pop(0)
+        phi[width] = len(P) - phi0 - sum(phi.values())
+        fps.append(Fingerprint(phi=phi, phi0=phi0))
     for estimator_id in ("plugin", "chao", "modified_chao", "chebyshev"):
-        row = monte_carlo_mse(P, n, estimator_id, trials=40, master_seed=seed)
+        row = monte_carlo_mse(P, n, estimator_id, trials=trials,
+                              master_seed=seed)
         sqerrs = []
-        for t in range(40):
-            fp = fingerprint(sample(P, n, seed=[seed, t]), P)
+        for fp in fps:
             if estimator_id == "plugin":
                 unseen = 0.0
             elif estimator_id == "chao":
@@ -65,7 +92,85 @@ def test_monte_carlo_agrees_with_direct_estimators():
                 unseen = est.value - plugin_support(fp)
             sqerrs.append((fp.phi0 - unseen) ** 2)
         assert row.mse == pytest.approx(np.mean(sqerrs), rel=1e-12)
-        assert row.undefined_count == 40 - len(sqerrs)
+        assert row.undefined_count == trials - len(sqerrs)
+
+
+def test_draw_cell_matches_exact_joint_law():
+    # chi-square of the drawn (phi_0, phi_1, phi_2) against the law that
+    # oracle.build_instance enumerates, on 1-4 symbols; cells expected fewer
+    # than 5 times are pooled with the enumeration's tail
+    rng = np.random.default_rng(20)
+    trials = 20_000
+    for case in range(8):
+        means = rng.uniform(0.2, 3.0, size=case % 4 + 1)
+        n = float(means.sum())
+        P = DiscreteDistribution(means / n, k=len(means), strict=False)
+        inst = build_instance(n * P.probs)
+        law = {}
+        for key, p in zip(map(tuple, inst.phi_table[:, :3].tolist()),
+                          inst.probs.tolist()):
+            law[key] = law.get(key, 0.0) + p
+        pool, pooled = trials * inst.tail_mass, set()
+        for key in sorted(law, key=law.get):
+            if trials * law[key] >= 5 and pool >= 5:
+                break
+            pool += trials * law[key]
+            pooled.add(key)
+        bins = [key for key in law if key not in pooled]
+        index = {key: i for i, key in enumerate(bins)}
+        observed = np.zeros(len(bins) + 1)
+        for row in map(tuple, _draw_cell(P, n, trials, case, 3).tolist()):
+            observed[index.get(row, len(bins))] += 1
+        expected = [trials * law[key] for key in bins] + [pool]
+        p_value = stats.chisquare(observed, expected).pvalue
+        assert p_value > 1e-3, (case, means, p_value)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_draw_cell_prevalence_means(family):
+    # the mean of every drawn phi_j, j < W, within 4.5 exact standard errors
+    # of E[phi_j]
+    k, trials = 1000, 4000
+    P = make_distribution(family, k)
+    width = occupancy_width(k)
+    for n in (k / 4, 2.0 * k, 8.0 * k):
+        occupancy = _draw_cell(P, n, trials, 1, width)
+        for j in range(width):
+            mu = expected_prevalence(P, n, j)
+            var = max(prevalence_second_moment(P, n, j) - mu * mu, 0.0)
+            mean = occupancy[:, j].mean()
+            assert abs(mean - mu) <= 4.5 * math.sqrt(var / trials) + 1e-9, (
+                n, j, mean, mu)
+
+
+def test_draw_cell_rows_do_not_depend_on_trial_count():
+    P = make_distribution("geometric", 500)
+    full = _draw_cell(P, 700.0, 4 * BLOCK + 3, 8, 4)
+    for trials in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK - 5):
+        np.testing.assert_array_equal(_draw_cell(P, 700.0, trials, 8, 4),
+                                      full[:trials])
+
+
+def test_draw_cell_does_not_depend_on_symbol_chunk(monkeypatch):
+    # uniforms are consumed symbol by symbol, so the chunk size that bounds
+    # a block's memory changes no draw
+    P = make_distribution("zipf", 200)
+    full = _draw_cell(P, 300.0, BLOCK + 5, 2, 4)
+    monkeypatch.setattr(bench, "_SYMBOL_CHUNK", 7)
+    np.testing.assert_array_equal(_draw_cell(P, 300.0, BLOCK + 5, 2, 4), full)
+
+
+def test_draw_cell_memory_is_bounded_per_block():
+    # a block's uniforms are drawn in symbol chunks: one (BLOCK x k) float64
+    # array alone would be 51 MB at k = 10^5
+    P = make_distribution("uniform", 10**5)
+    tracemalloc.start()
+    try:
+        _draw_cell(P, 2e5, 2 * BLOCK, 0, occupancy_width(P.k))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < BLOCK * P.k * 8 / 2
 
 
 def test_squared_error_identity():
@@ -153,7 +258,7 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
                           estimators=ESTIMATOR_IDS, trials=50, master_seed=5,
                           output_path=str(out)))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "527cca81859460397a4ed3cf128a20814b9fe32b775d3888b879e559c55be6b1")
+        "9f66b9fb6dc558c6fd2abc357ab26540496469c73c79cf46caca00216c4e3f16")
 
 
 def test_run_sweep_row_count_and_csv(tmp_path):

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from supportsize.distributions import DiscreteDistribution, make_distribution
@@ -159,6 +162,23 @@ def test_exact_plugin_mse_frozen_value():
     assert exact_plugin_mse(P, 10.0) == pytest.approx(
         15.858969903009566, rel=1e-12
     )
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+       st.floats(0.1, 50.0))
+def test_exact_plugin_mse_matches_unseen_subset_sum(weights, n):
+    # E[phi_0^2] as a sum over all 2^m sets of unseen symbols, each weighted
+    # by its probability under independent Bernoulli(e^{-n p_x}) indicators
+    probs = np.array(weights) / math.fsum(weights)
+    P = DiscreteDistribution(probs, k=len(probs), strict=False)
+    z = np.exp(-n * P.probs).tolist()
+    brute = math.fsum(
+        sum(unseen) ** 2
+        * math.prod(zx if u else 1.0 - zx for zx, u in zip(z, unseen))
+        for unseen in itertools.product((False, True), repeat=len(z))
+    )
+    assert exact_plugin_mse(P, n) == pytest.approx(brute, rel=1e-12)
 
 
 def test_exact_plugin_mse_vanishes(zoo_distribution):
