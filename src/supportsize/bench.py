@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
-from .distributions import DiscreteDistribution, make_distribution, support_size
+from .distributions import FAMILIES, DiscreteDistribution, make_distribution, support_size
 from .estimators import (
     DEFAULT_C0,
     DEFAULT_C1,
@@ -35,7 +35,6 @@ from .estimators import (
 )
 from .poisson_model import Fingerprint, check_n
 
-DEFAULT_FAMILIES = ("uniform", "zipf", "geometric", "two_mixture")
 DEFAULT_ESTIMATORS = ("plugin", "modified_chao", "chebyshev")
 
 #: Trials per random block of a cell. Part of the output contract: a new
@@ -49,7 +48,7 @@ _SYMBOL_CHUNK = 4096
 
 @dataclass(frozen=True)
 class SweepConfig:
-    families: tuple[str, ...] = DEFAULT_FAMILIES
+    families: tuple[str, ...] = FAMILIES
     k: int = 1000
     n_grid: tuple[float, ...] = field(
         default_factory=lambda: tuple(
@@ -72,6 +71,9 @@ class SweepConfig:
             )
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        unknown = set(self.families) - set(FAMILIES)
+        if unknown:
+            raise ValueError(f"unknown families: {sorted(unknown)}")
         unknown = set(self.estimators) - set(ESTIMATOR_IDS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
@@ -231,6 +233,26 @@ def write_rows(rows, path) -> None:
             ])
 
 
+def _items(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+_SETTINGS = {"families": _items, "estimators": _items, "k": int, "trials": int,
+             "master_seed": int, "output_path": str,
+             "n_grid": lambda text: tuple(map(float, _items(text)))}
+
+
+def parse_setting(key: str, text: str):
+    """Convert one SweepConfig field from its text in a config file or a CLI
+    flag. Lists are comma-separated, and empty entries are dropped."""
+    if key not in _SETTINGS:
+        raise ValueError(f"unknown key {key!r}")
+    try:
+        return _SETTINGS[key](text.strip())
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def load_config(path) -> SweepConfig:
     """Parse a flat key=value config file with SweepConfig field names."""
     values: dict[str, object] = {}
@@ -241,17 +263,10 @@ def load_config(path) -> SweepConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key in ("families", "estimators"):
-            values[key] = tuple(v.strip() for v in val.split(",") if v.strip())
-        elif key == "n_grid":
-            values[key] = tuple(float(v) for v in val.split(",") if v.strip())
-        elif key in ("k", "trials", "master_seed"):
-            values[key] = int(val)
-        elif key == "output_path":
-            values[key] = val
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key.strip()] = parse_setting(key.strip(), val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return SweepConfig(**values)
 
 

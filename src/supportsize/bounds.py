@@ -43,18 +43,6 @@ class BoundReport:
     low_collision: float | None = None
     high_collision: float | None = None
 
-    FIELDS = (
-        "plugin_lower",
-        "plugin_upper",
-        "chao_worst_case",
-        "epsilon_term",
-        "bias_lower",
-        "bias_upper",
-        "bias_sq_upper",
-        "low_collision",
-        "high_collision",
-    )
-
 
 def _check_n_k(n: float, k: int, *, allow_zero_n: bool = False) -> None:
     """Bound entry points take a finite n > 0 (n >= 0 where the bound is

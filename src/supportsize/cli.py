@@ -17,7 +17,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import bench, bounds, oracle
 from .distributions import FAMILIES, make_distribution
@@ -62,11 +62,11 @@ def _build_parser() -> _Parser:
     sweep = sub.add_parser("sweep", help="Monte Carlo MSE sweep")
     sweep.add_argument("--config", help="flat key=value config file")
     sweep.add_argument("--families")
-    sweep.add_argument("--k", type=int)
+    sweep.add_argument("--k")
     sweep.add_argument("--n-grid", dest="n_grid")
     sweep.add_argument("--estimators")
-    sweep.add_argument("--trials", type=int)
-    sweep.add_argument("--master-seed", dest="master_seed", type=int)
+    sweep.add_argument("--trials")
+    sweep.add_argument("--master-seed", dest="master_seed")
     sweep.add_argument("--output", dest="output_path")
     sweep.add_argument("--workers", type=int, default=1)
 
@@ -95,18 +95,18 @@ def _cmd_dist_dump(args) -> int:
 def _cmd_bounds(args) -> int:
     P = make_distribution(args.family, args.k) if args.family else None
     report = bounds.bound_report(args.n, args.k, P)
-    fields = report.FIELDS
+    names = [f.name for f in fields(report) if f.name not in ("n", "k")]
     if args.csv:
         writer = csv.writer(sys.stdout)
-        writer.writerow(("n", "k") + fields)
+        writer.writerow(["n", "k"] + names)
         writer.writerow(
             [f"{args.n:.17g}", args.k]
             + ["" if getattr(report, f) is None else f"{getattr(report, f):.17g}"
-               for f in fields]
+               for f in names]
         )
     else:
         print(f"n = {args.n:g}, k = {args.k}")
-        for f in fields:
+        for f in names:
             value = getattr(report, f)
             text = "inapplicable" if value is None else f"{value:.6g}"
             print(f"  {f:18s} {text}")
@@ -124,19 +124,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = bench.load_config(args.config) if args.config else bench.SweepConfig()
-    overrides = {}
-    if args.families:
-        overrides["families"] = tuple(v.strip() for v in args.families.split(","))
-    if args.estimators:
-        overrides["estimators"] = tuple(v.strip() for v in args.estimators.split(","))
-    if args.n_grid:
-        overrides["n_grid"] = tuple(float(v) for v in args.n_grid.split(","))
-    for key in ("k", "trials", "master_seed", "output_path"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, **{
+        f.name: bench.parse_setting(f.name, getattr(args, f.name))
+        for f in fields(cfg) if getattr(args, f.name) is not None
+    })
     rows = bench.run_sweep(cfg, workers=args.workers)
     print(f"wrote {len(rows)} rows to {cfg.output_path}")
     return 0

@@ -5,7 +5,7 @@ entries are at least ``1/k`` ("strict" mode), which caps the support size at
 ``k``. Zipf and geometric weights decay below ``1/k`` on long supports, so in
 strict mode their support is truncated to the largest prefix whose
 renormalized minimum probability still clears the ``1/k`` floor. Lenient mode
-skips the floor and normalizes over a caller-chosen support size.
+skips the floor and keeps all k symbols.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ def make_distribution(
     family: str,
     k: int,
     strict: bool = True,
-    support: int | None = None,
 ) -> DiscreteDistribution:
     """Construct a zoo distribution.
 
@@ -98,9 +97,7 @@ def make_distribution(
             at probability 1/k and half at 3/k.
         k: floor parameter, k >= 2. Must be even for two_mixture.
         strict: truncate Zipf/geometric supports so the renormalized
-            minimum probability is >= 1/k.
-        support: lenient mode only; support size for Zipf/geometric
-            (defaults to k).
+            minimum probability is >= 1/k; otherwise they keep k symbols.
 
     Raises:
         ValueError: unknown family, k < 2, or odd k for two_mixture.
@@ -113,9 +110,9 @@ def make_distribution(
     if family == "uniform":
         weights = np.ones(k)
     elif family == "zipf":
-        weights = 1.0 / np.arange(1, (k if strict else support or k) + 1)
+        weights = 1.0 / np.arange(1, k + 1)
     elif family == "geometric":
-        weights = (1.0 - 1.0 / k) ** np.arange(k if strict else support or k)
+        weights = (1.0 - 1.0 / k) ** np.arange(k)
     else:  # two_mixture
         if k % 2 != 0:
             raise ValueError("two_mixture requires even k")

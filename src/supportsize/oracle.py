@@ -19,16 +19,17 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy import stats
-from scipy.special import stirling2
+from scipy.special import pdtrc, stirling2
 
 from .bounds import sigma_of
 from .distributions import FAMILIES, DiscreteDistribution, make_distribution
-from .poisson_model import expected_prevalence, prevalence_second_moment
+from .poisson_model import expected_prevalence, poisson_pmf, prevalence_second_moment
 
 MAX_SYMBOLS = 4
-DEFAULT_TAIL_TOL = 1e-10
-DEFAULT_CELL_CAP = 10**7
+#: Bound on the probability mass left out of an instance's enumeration.
+TAIL_TOL = 1e-10
+#: Largest number of cells an instance may enumerate.
+CELL_CAP = 10**7
 
 _CONDITIONAL_FACTOR_BASE = 1.0 - 2.0 * math.exp(-2.0)
 
@@ -120,24 +121,19 @@ class OracleInstance:
         return out
 
 
-def build_instance(
-    means,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> OracleInstance:
+def build_instance(means) -> OracleInstance:
     """Enumerate the truncated product-Poisson law for the given means.
 
     Cutoff rule: symbol x keeps the counts 0..M_x, where M_x is the smallest
-    M whose Poisson upper tail P(N_x > M) is below tail_tol / m, so the
-    un-enumerated mass is below tail_tol overall. One vectorised Poisson
-    quantile gives a first guess that is stepped up where its tail is still
-    too heavy.
+    M whose Poisson upper tail P(N_x > M) = pdtrc(M, lambda_x) is below
+    TAIL_TOL / m, so the un-enumerated mass is below TAIL_TOL overall. Every
+    symbol starts at M = 0 and steps up while its tail is still too heavy.
 
     Grid: the cells are every multiplicity vector in the box
     prod_x {0..M_x}, in row-major order (the last symbol varies fastest).
     A cell's probability is the product of its per-symbol Poisson pmfs,
     multiplied in symbol order, and row c of phi_table holds the prevalences
-    phi_0..phi_{max M} of cell c. The cell count is checked against cell_cap
+    phi_0..phi_{max M} of cell c. The cell count is checked against CELL_CAP
     before any array is allocated.
     """
     means = tuple(float(x) for x in means)
@@ -148,23 +144,20 @@ def build_instance(
         raise ValueError("all means must be positive and finite")
 
     lam = np.array(means)
-    per_tol = tail_tol / m
-    guess = stats.poisson.ppf(1.0 - per_tol, lam)
-    if not np.all(np.isfinite(guess)):
-        raise ValueError(f"tail_tol={tail_tol} gives no finite cutoff")
-    cutoffs = guess.astype(np.int64)
-    while np.any(heavy := stats.poisson.sf(cutoffs, lam) >= per_tol):
+    per_tol = TAIL_TOL / m
+    cutoffs = np.zeros(m, dtype=np.int64)
+    while np.any(heavy := pdtrc(cutoffs, lam) >= per_tol):
         cutoffs[heavy] += 1
 
     max_counts = tuple(cutoffs.tolist())
     shape = tuple(M + 1 for M in max_counts)
     cells = math.prod(shape)
-    if cells > cell_cap:
-        raise ValueError(f"enumeration of {cells} cells exceeds cap {cell_cap}")
+    if cells > CELL_CAP:
+        raise ValueError(f"enumeration of {cells} cells exceeds cap {CELL_CAP}")
 
     counts = np.indices(shape).reshape(m, cells).T
     width = max(shape)
-    pmf = stats.poisson.pmf(np.arange(width), lam[:, None])
+    pmf = poisson_pmf(np.arange(width), lam[:, None])
     per_symbol = [pmf[j, :M] for j, M in enumerate(shape)]
     probs = reduce(np.multiply.outer, per_symbol).ravel()
     tail_mass = 1.0 - math.fsum(probs)
@@ -561,9 +554,8 @@ def _assert_concave(f, xs: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _random_instance(rng: np.random.Generator, max_symbols: int = 3,
-                     mean_range=(0.2, 3.0)) -> OracleInstance:
-    m = int(rng.integers(1, max_symbols + 1))
+def _random_instance(rng: np.random.Generator, mean_range=(0.2, 3.0)) -> OracleInstance:
+    m = int(rng.integers(1, 4))  # 1 to 3 symbols
     means = rng.uniform(*mean_range, size=m)
     return build_instance(means)
 
@@ -591,7 +583,6 @@ def certification_campaign(
     degree2: int = 100,
     conditional: int = 100,
     regression: int = 100,
-    zoo_k: int = 100,
 ) -> list[Certificate]:
     """Run every inequality check over randomized instances.
 
@@ -647,7 +638,7 @@ def certification_campaign(
         certs.append(check_moment_bound(inst, j, h))
 
     for _ in range(degree2):
-        inst = _random_instance(rng, max_symbols=3)
+        inst = _random_instance(rng)
         if inst.num_symbols < 2:
             inst = build_instance(rng.uniform(0.2, 3.0, size=2))
         L = int(rng.integers(1, 4))
@@ -667,9 +658,9 @@ def certification_campaign(
         shape = shapes[int(rng.integers(len(shapes)))]
         certs.append(check_negative_regression(inst, int(i), int(j), shape))
 
-    for family in FAMILIES:
-        P = make_distribution(family, zoo_k)
-        for n in (zoo_k / 2, zoo_k, 2 * zoo_k, 4 * zoo_k):
+    for family in FAMILIES:  # the zoo at k = 100, n/k in {1/2, 1, 2, 4}
+        P = make_distribution(family, 100)
+        for n in (50, 100, 200, 400):
             certs.append(check_cauchy_schwarz(P, n))
 
     return certs

@@ -10,6 +10,9 @@ Moment calculators are exact closed forms: each phi_i is a sum of independent
 Bernoulli indicators, so its mean and second moment follow from per-symbol
 Poisson pmf values. Sums over symbols use math.fsum, which is exactly
 rounded, so large supports do not accumulate error.
+
+Every Poisson probability in the library comes from scipy.special: the pmf
+is poisson_pmf below, and cdfs and upper tails are pdtr and pdtrc.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .distributions import DiscreteDistribution, support_size
 
@@ -105,10 +108,17 @@ def fingerprint(
     return Fingerprint(phi=dict(zip(values.tolist(), freq.tolist())), phi0=phi0)
 
 
+def poisson_pmf(j, mu) -> np.ndarray:
+    """Poisson pmf of j at mean mu, elementwise, in log space as
+    exp(j log mu - log j! - mu): bitwise the value scipy's Poisson
+    distribution object gives for integer j >= 0 and mu >= 0."""
+    return np.exp(special.xlogy(j, mu) - special.gammaln(j + 1) - mu)
+
+
 def _pmf(P: DiscreteDistribution, n: float, i: int) -> np.ndarray:
-    """Per-symbol Poisson pmf of i at mean n*p_x (log-space internally)."""
+    """Per-symbol Poisson pmf of i at mean n*p_x (see poisson_pmf)."""
     check_n(n)
-    return stats.poisson.pmf(i, n * P.probs)
+    return poisson_pmf(i, n * P.probs)
 
 
 def expected_prevalence(P: DiscreteDistribution, n: float, i: int) -> float:
@@ -130,12 +140,9 @@ def exact_plugin_mse(P: DiscreteDistribution, n: float) -> float:
     """Exact MSE of the plug-in support estimator under P.
 
     The plug-in error is phi_0, a sum of independent Bernoulli(e^{-n p_x})
-    indicators, so E[phi_0^2] decomposes into squared mean plus variance.
+    indicators, so the MSE is E[phi_0^2].
     """
-    check_n(n)
-    z = np.exp(-n * P.probs)
-    s = math.fsum(z)
-    return s * s + math.fsum(z * (1.0 - z))
+    return prevalence_second_moment(P, n, 0)
 
 
 def exact_bias_expression(P: DiscreteDistribution, n: float) -> float:

@@ -298,6 +298,8 @@ def test_sweep_config_validation():
         SweepConfig(k=1)
     with pytest.raises(ValueError):
         SweepConfig(estimators=("plugin", "bootstrap"))
+    with pytest.raises(ValueError, match="unknown families"):
+        SweepConfig(families=("bogus",))
 
 
 def test_load_config(tmp_path):

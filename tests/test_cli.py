@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from supportsize import bench
 from supportsize.cli import main
 from supportsize.distributions import make_distribution
 
@@ -95,6 +96,29 @@ def test_sweep_with_config_and_flags(tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("key, flag, text", [
+    ("families", "--families", "uniform,"),
+    ("families", "--families", " zipf , geometric "),
+    ("k", "--k", " 30"),
+    ("n_grid", "--n-grid", "60, 120,"),
+    ("estimators", "--estimators", "plugin,,chao"),
+    ("trials", "--trials", "40"),
+    ("master_seed", "--master-seed", "7"),
+    ("output_path", "--output", "out.csv"),
+])
+def test_sweep_flag_and_config_file_parse_alike(key, flag, text, tmp_path,
+                                                monkeypatch, capsys):
+    # one parser: the same text gives the same SweepConfig either way
+    seen = []
+    monkeypatch.setattr(bench, "run_sweep",
+                        lambda cfg, workers: seen.append(cfg) or [])
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(f"{key} = {text}\n")
+    assert run_cli(capsys, "sweep", flag, text)[0] == 0
+    assert run_cli(capsys, "sweep", "--config", str(cfg_path))[0] == 0
+    assert seen[0] == seen[1] == bench.load_config(cfg_path)
+
+
 def test_verify_passes(capsys):
     code, out = run_cli(capsys, "verify", "--seed", "5",
                         "--campaign-size", "10")
@@ -119,6 +143,8 @@ def test_usage_error_exit_code(capsys):
     ("sweep", "--trials", "0"),
     ("sweep", "--workers", "0", "--k", "30", "--trials", "5"),
     ("sweep", "--n-grid", "-3", "--trials", "5"),
+    ("sweep", "--families", "bogus"),
+    ("sweep", "--k", "thirty"),
     ("dist", "dump", "--family", "uniform", "--k", "1"),
     ("dist", "dump", "--family", "two_mixture", "--k", "7"),
     ("estimate", "--counts", "missing-counts.csv"),

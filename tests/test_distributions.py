@@ -106,7 +106,7 @@ def test_strict_truncation_matches_running_total_loop(k):
 
 
 def test_lenient_mode_skips_floor():
-    P = make_distribution("zipf", 100, strict=False, support=100)
+    P = make_distribution("zipf", 100, strict=False)
     assert support_size(P) == 100
     assert P.probs.min() < 1.0 / 100
     assert abs(math.fsum(P.probs) - 1.0) <= 1e-12

@@ -11,7 +11,7 @@ from scipy import stats
 
 from supportsize.distributions import DiscreteDistribution, make_distribution
 from supportsize.oracle import (
-    DEFAULT_TAIL_TOL,
+    TAIL_TOL,
     LinearFunctional,
     PolyFunctional,
     build_instance,
@@ -73,14 +73,14 @@ def test_build_instance_validation():
         build_instance([1.0] * 5)
     with pytest.raises(ValueError):
         build_instance([1.0, -1.0])
-    with pytest.raises(ValueError):
-        build_instance([50.0] * 4, cell_cap=1000)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        build_instance([50.0] * 4)  # about 1.17e8 cells
 
 
-def reference_instance(means, tail_tol=DEFAULT_TAIL_TOL):
+def reference_instance(means):
     """Cutoffs, cells and cell probabilities by per-symbol quantile search and
     a per-cell itertools.product enumeration."""
-    per_tol = tail_tol / len(means)
+    per_tol = TAIL_TOL / len(means)
     cutoffs = []
     for lam in means:
         M = int(stats.poisson.ppf(1.0 - per_tol, lam))
@@ -101,7 +101,7 @@ def test_build_instance_matches_product_enumeration(means):
     inst = build_instance(means)
     cutoffs, counts, probs = reference_instance(means)
     assert inst.max_counts == cutoffs
-    per_tol = DEFAULT_TAIL_TOL / len(means)
+    per_tol = TAIL_TOL / len(means)
     for lam, M in zip(means, cutoffs):
         assert stats.poisson.sf(M, lam) < per_tol <= stats.poisson.sf(M - 1, lam)
     assert inst.counts.dtype == counts.dtype
@@ -110,7 +110,7 @@ def test_build_instance_matches_product_enumeration(means):
     phi = np.array([np.bincount(row, minlength=max(cutoffs) + 1) for row in counts])
     assert inst.phi_table.dtype == phi.dtype
     np.testing.assert_array_equal(inst.phi_table, phi)
-    assert inst.tail_mass <= DEFAULT_TAIL_TOL
+    assert inst.tail_mass <= TAIL_TOL
 
 
 def test_prevalence_matches_expected_prevalence():

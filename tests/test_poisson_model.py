@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import supportsize
 from supportsize.distributions import DiscreteDistribution, make_distribution
 from supportsize.poisson_model import (
     MultiplicitySample,
@@ -42,15 +47,14 @@ def test_sample_concentration_uniform2():
 
 
 def test_sample_empirical_mean():
-    # counts[0] ~ Poisson(2) for uniform(4) at n=8; mean over 1e5 seeds
-    P = make_distribution("uniform", 4)
-    trials = 10**5
-    total = 0
-    for seed in range(trials):
-        total += sample(P, 8.0, seed=seed).counts[0]
-    mean = total / trials
-    stderr = math.sqrt(2.0 / trials)
-    assert abs(mean - 2.0) <= 3 * stderr
+    # every count is Poisson(2) for uniform(10^4) at n = 2 * 10^4; mean over
+    # 10 seeds x 10^4 symbols = 10^5 draws
+    P = make_distribution("uniform", 10**4)
+    draws = np.concatenate([sample(P, 2e4, seed=seed).counts
+                            for seed in range(10)])
+    assert len(draws) == 10**5
+    stderr = math.sqrt(2.0 / len(draws))
+    assert abs(draws.mean() - 2.0) <= 3 * stderr
 
 
 def test_sample_rejects_nonpositive_n():
@@ -143,6 +147,30 @@ def test_second_moment_thin_sum_limit():
     assert prevalence_second_moment(P, n, 1) == pytest.approx(
         mu * mu + mu, rel=1e-6
     )
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=200),
+       st.floats(1e-3, 1e5), st.integers(0, 60))
+def test_moments_match_scipy_stats_pmf_bitwise(weights, n, i):
+    # scipy.stats.poisson.pmf is the reference for the library's own pmf
+    probs = np.array(weights) / math.fsum(weights)
+    P = DiscreteDistribution(probs, k=len(probs), strict=False)
+    q = stats.poisson.pmf(i, n * P.probs)
+    mu = math.fsum(q)
+    assert expected_prevalence(P, n, i) == mu
+    assert prevalence_second_moment(P, n, i) == mu * mu + math.fsum(q * (1.0 - q))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # the library takes every Poisson probability from scipy.special
+    src = str(Path(supportsize.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, supportsize.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_exact_plugin_mse_uniform_formula():
