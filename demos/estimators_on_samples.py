@@ -9,10 +9,8 @@ import numpy as np
 
 from supportsize import (
     UndefinedEstimateError,
-    chebyshev_support,
     fingerprint,
     make_distribution,
-    plugin_support,
     sample,
     support_estimate,
 )
@@ -25,13 +23,13 @@ print(f"geometric, k={k}, n={n:g}, true support {true_support}\n")
 rows = []
 for trial in range(8):
     fp = fingerprint(sample(P, n, seed=[42, trial]), P)
-    plugin = plugin_support(fp)
+    plugin = support_estimate(fp, "plugin").value
     try:
         chao = support_estimate(fp, "chao").value
     except UndefinedEstimateError:
         chao = float("nan")
     mc = support_estimate(fp, "modified_chao").value
-    cheb = chebyshev_support(fp, k, n).value
+    cheb = support_estimate(fp, "chebyshev", k=k, n=n).value
     rows.append((plugin, chao, mc, cheb))
     print(
         f"trial {trial}: phi0={fp.phi0:3d} plugin={plugin:5.0f} "

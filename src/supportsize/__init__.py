@@ -3,8 +3,10 @@
 Library layout:
   distributions  -- the probability-floor distribution zoo
   poisson_model  -- sampling, fingerprints, exact prevalence moments
-  estimators     -- plug-in, Chao, modified Chao, Chebyshev estimators,
+  estimators     -- plug-in, Chao, modified Chao, Chebyshev estimators:
                     one batched kernel over occupancy matrices
+                    (unseen_estimates) and its one-fingerprint call
+                    (support_estimate)
   bounds         -- closed-form worst-case MSE and bias bounds
   oracle         -- exhaustive small-alphabet inequality certification
   bench          -- Monte Carlo MSE harness, sweeps, empirical-data path
@@ -24,11 +26,7 @@ from .poisson_model import (
 from .estimators import (
     EstimatorOutput,
     UndefinedEstimateError,
-    chao_unseen,
-    chebyshev_support,
-    modified_chao_unseen,
     occupancy_width,
-    plugin_support,
     support_estimate,
     unseen_estimates,
 )
@@ -63,11 +61,7 @@ __all__ = [
     "exact_bias_expression",
     "EstimatorOutput",
     "UndefinedEstimateError",
-    "plugin_support",
-    "chao_unseen",
-    "modified_chao_unseen",
     "support_estimate",
-    "chebyshev_support",
     "unseen_estimates",
     "occupancy_width",
     "BoundReport",

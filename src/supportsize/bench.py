@@ -6,10 +6,10 @@ estimators.unseen_estimates, so all estimators see the same samples. The
 draw samples each symbol's class min(N_x, W) by inverting its truncated
 Poisson cdf, in blocks of BLOCK trials: block b takes its uniforms from
 default_rng([master_seed, b]), so trial t's row depends only on
-(master_seed, t), never on the trial count. Trials run serially; the
-workers argument is accepted for compatibility and changes neither results
-nor run time. Undefined Chao trials (phi_2 = 0) are excluded from the mean
-and reported in undefined_count, never imputed.
+(master_seed, t), never on the trial count. Trials run serially; only
+run_sweep takes a workers argument, accepted for compatibility, and it
+changes neither results nor run time. Undefined Chao trials (phi_2 = 0) are
+excluded from the mean and reported in undefined_count, never imputed.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from scipy import special
 
 from .distributions import FAMILIES, DiscreteDistribution, make_distribution, support_size
 from .estimators import (
-    DEFAULT_C0,
-    DEFAULT_C1,
     ESTIMATOR_IDS,
     EstimatorOutput,
     UndefinedEstimateError,
@@ -95,11 +93,6 @@ CSV_HEADER = ("family", "k", "n", "estimator", "mse", "stderr", "trials",
               "undefined_count")
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-
 def _draw_cell(
     P: DiscreteDistribution, n: float, trials: int, master_seed: int,
     width: int,
@@ -135,13 +128,7 @@ def _draw_cell(
 
 
 def _score(
-    P: DiscreteDistribution,
-    n: float,
-    estimator_id: str,
-    occupancy: np.ndarray,
-    family: str | None,
-    c0: float,
-    c1: float,
+    P: DiscreteDistribution, n: float, estimator_id: str, occupancy: np.ndarray
 ) -> MseRow:
     """MSE row of one estimator on a drawn cell; NaN errors are undefined.
 
@@ -150,7 +137,7 @@ def _score(
     """
     phi0 = occupancy[:, 0]
     unseen = unseen_estimates(occupancy, support_size(P) - phi0, estimator_id,
-                              k=P.k, n=n, c0=c0, c1=c1)
+                              k=P.k, n=n)
     err = phi0 - unseen
     errors = err * err
     defined = errors[~np.isnan(errors)]
@@ -164,7 +151,7 @@ def _score(
         else 0.0
     )
     return MseRow(
-        family=family or (P.family or "custom"),
+        family=P.family or "custom",
         k=P.k,
         n=n,
         estimator_id=estimator_id,
@@ -181,21 +168,15 @@ def monte_carlo_mse(
     estimator_id: str,
     trials: int,
     master_seed: int,
-    family: str | None = None,
-    workers: int = 1,
-    c0: float = DEFAULT_C0,
-    c1: float = DEFAULT_C1,
 ) -> MseRow:
     """Monte Carlo estimate of the MSE of a support estimator under P.
 
     The cell is drawn as in run_sweep (see _draw_cell), so the row equals
     the matching run_sweep row, which scores every estimator on one shared
-    draw of the cell. workers (>= 1) changes neither the result nor the run
-    time.
+    draw of the cell.
     """
-    _check_workers(workers)
-    occupancy = _draw_cell(P, n, trials, master_seed, occupancy_width(P.k, c0))
-    return _score(P, n, estimator_id, occupancy, family, c0, c1)
+    occupancy = _draw_cell(P, n, trials, master_seed, occupancy_width(P.k))
+    return _score(P, n, estimator_id, occupancy)
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[MseRow]:
@@ -203,20 +184,19 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[MseRow]:
 
     Each (family, n) cell is drawn once and scored by every estimator.
     Output is deterministic (byte-identical) for a given config regardless
-    of worker count.
+    of worker count; workers (>= 1) changes neither the result nor the run
+    time.
     """
-    _check_workers(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     rows = []
     for family in cfg.families:
         P = make_distribution(family, cfg.k)
         for n in cfg.n_grid:
             occupancy = _draw_cell(P, n, cfg.trials, cfg.master_seed,
                                    occupancy_width(P.k))
-            rows.extend(
-                _score(P, n, estimator_id, occupancy, family, DEFAULT_C0,
-                       DEFAULT_C1)
-                for estimator_id in cfg.estimators
-            )
+            rows.extend(_score(P, n, estimator_id, occupancy)
+                        for estimator_id in cfg.estimators)
     write_rows(rows, cfg.output_path)
     return rows
 

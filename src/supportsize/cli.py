@@ -114,7 +114,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    estimators = tuple(e.strip() for e in args.estimators.split(",") if e.strip())
+    estimators = bench.parse_setting("estimators", args.estimators)
     report = bench.estimate_from_counts(args.counts, estimators, args.k, args.n)
     for estimator_id, output in report.items():
         text = "undefined" if output is None else f"{output.value:.6g}"

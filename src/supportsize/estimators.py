@@ -6,9 +6,10 @@ ratio phi_1^2 / (2 phi_2), the modified Chao ratio with denominator
 whose coefficients come from a shifted-and-scaled Chebyshev polynomial.
 
 Each is defined once, in unseen_estimates, which maps a (rows x W) occupancy
-matrix to one unseen-symbol estimate per row. The single-fingerprint
-functions are one-row calls of it, and the Monte Carlo harness calls it once
-per (cell, estimator) on every trial of the cell.
+matrix to one unseen-symbol estimate per row, selected by estimator id. The
+two entry points are unseen_estimates itself, which the Monte Carlo harness
+calls once per (cell, estimator) on every trial of the cell, and
+support_estimate, its one-row call on a single fingerprint.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ class UndefinedEstimateError(ZeroDivisionError):
 class EstimatorOutput:
     value: float
     estimator_id: str
-
-
-def plugin_support(fp: Fingerprint) -> float:
-    """Number of distinct observed symbols, sum of phi_i for i >= 1."""
-    return float(sum(fp.phi.values()))
 
 
 def _degree(k: int, c0: float) -> int:
@@ -117,47 +113,25 @@ def unseen_estimates(
     raise ValueError(f"unknown unseen estimator {estimator_id!r}")
 
 
-def _unseen_one_row(
-    fp: Fingerprint, estimator_id: str, k=None, n=None,
-    c0: float = DEFAULT_C0, c1: float = DEFAULT_C1,
-) -> float:
-    """unseen_estimates on one fingerprint; raises where chao is undefined."""
-    row = [[fp.phi.get(i, 0) for i in range(occupancy_width(k, c0))]]
-    seen = [sum(fp.phi.values())]
-    value = float(
-        unseen_estimates(row, seen, estimator_id, k=k, n=n, c0=c0, c1=c1)[0]
-    )
-    if math.isnan(value):
-        raise UndefinedEstimateError("phi_2 = 0")
-    return value
-
-
-def chao_unseen(fp: Fingerprint) -> float:
-    """phi_1^2 / (2 phi_2); raises when phi_2 = 0."""
-    return _unseen_one_row(fp, "chao")
-
-
-def modified_chao_unseen(fp: Fingerprint) -> float:
-    """phi_1^2 / (2 (phi_2 + 1)); defined on every fingerprint."""
-    return _unseen_one_row(fp, "modified_chao")
-
-
 def support_estimate(
     fp: Fingerprint,
-    unseen: str,
+    estimator_id: str,
     *,
     k: int | None = None,
     n: float | None = None,
-    c0: float = DEFAULT_C0,
-    c1: float = DEFAULT_C1,
 ) -> EstimatorOutput:
-    """Plug-in count plus the selected unseen-symbol estimate (0 for plugin).
+    """Plug-in count plus the selected unseen-symbol estimate (0 for plugin),
+    from a one-row call of unseen_estimates.
 
     The chebyshev choice is a direct linear support estimator and requires
-    k and n. The chao choice propagates UndefinedEstimateError.
+    k and n. The chao choice raises UndefinedEstimateError when phi_2 = 0.
     """
-    value = plugin_support(fp) + _unseen_one_row(fp, unseen, k, n, c0, c1)
-    return EstimatorOutput(value=value, estimator_id=unseen)
+    row = [[fp.phi.get(i, 0) for i in range(occupancy_width(k))]]
+    seen = sum(fp.phi.values())
+    unseen = float(unseen_estimates(row, [seen], estimator_id, k=k, n=n)[0])
+    if math.isnan(unseen):
+        raise UndefinedEstimateError("phi_2 = 0")
+    return EstimatorOutput(value=float(seen) + unseen, estimator_id=estimator_id)
 
 
 @lru_cache(maxsize=256)
@@ -185,14 +159,3 @@ def chebyshev_coefficients(
     coeffs.flags.writeable = False
     return coeffs
 
-
-def chebyshev_support(
-    fp: Fingerprint,
-    k: int,
-    n: float,
-    c0: float = DEFAULT_C0,
-    c1: float = DEFAULT_C1,
-) -> EstimatorOutput:
-    """Chebyshev linear support estimator, sum of g_i * phi_i, clamped at
-    zero (see unseen_estimates)."""
-    return support_estimate(fp, "chebyshev", k=k, n=n, c0=c0, c1=c1)

@@ -28,7 +28,8 @@ from .poisson_model import expected_prevalence, poisson_pmf, prevalence_second_m
 MAX_SYMBOLS = 4
 #: Bound on the probability mass left out of an instance's enumeration.
 TAIL_TOL = 1e-10
-#: Largest number of cells an instance may enumerate.
+#: Largest phi_table an instance may allocate, in entries: its cells times
+#: its columns phi_0..phi_{max M}.
 CELL_CAP = 10**7
 
 _CONDITIONAL_FACTOR_BASE = 1.0 - 2.0 * math.exp(-2.0)
@@ -133,8 +134,8 @@ def build_instance(means) -> OracleInstance:
     prod_x {0..M_x}, in row-major order (the last symbol varies fastest).
     A cell's probability is the product of its per-symbol Poisson pmfs,
     multiplied in symbol order, and row c of phi_table holds the prevalences
-    phi_0..phi_{max M} of cell c. The cell count is checked against CELL_CAP
-    before any array is allocated.
+    phi_0..phi_{max M} of cell c. The phi_table size, cells x (max M + 1)
+    entries, is checked against CELL_CAP before any array is allocated.
     """
     means = tuple(float(x) for x in means)
     m = len(means)
@@ -152,11 +153,12 @@ def build_instance(means) -> OracleInstance:
     max_counts = tuple(cutoffs.tolist())
     shape = tuple(M + 1 for M in max_counts)
     cells = math.prod(shape)
-    if cells > CELL_CAP:
-        raise ValueError(f"enumeration of {cells} cells exceeds cap {CELL_CAP}")
+    width = max(shape)
+    if cells * width > CELL_CAP:
+        raise ValueError(f"enumeration of {cells} cells x {width} columns "
+                         f"exceeds cap {CELL_CAP}")
 
     counts = np.indices(shape).reshape(m, cells).T
-    width = max(shape)
     pmf = poisson_pmf(np.arange(width), lam[:, None])
     per_symbol = [pmf[j, :M] for j, M in enumerate(shape)]
     probs = reduce(np.multiply.outer, per_symbol).ravel()

@@ -61,16 +61,6 @@ class Fingerprint:
             raise ValueError("fingerprint keys must be >= 1 with counts >= 0")
         object.__setattr__(self, "phi", phi)
 
-    def get(self, i: int) -> int:
-        if i == 0:
-            if self.phi0 is None:
-                raise ValueError("phi0 is latent; build the fingerprint with P")
-            return self.phi0
-        return self.phi.get(i, 0)
-
-    def max_index(self) -> int:
-        return max(self.phi, default=0)
-
 
 def check_n(n: float, *, allow_zero: bool = False) -> None:
     """Reject an expected sample size that is not finite and > 0 (>= 0 with

@@ -47,12 +47,10 @@ def mc_rows():
         P = make_distribution(family, K)
         for n in N_GRID:
             for est in ("plugin", "modified_chao"):
-                rows[family, n, est] = monte_carlo_mse(
-                    P, n, est, TRIALS, MASTER_SEED, family=family
-                )
+                rows[family, n, est] = monte_carlo_mse(P, n, est, TRIALS,
+                                                       MASTER_SEED)
         rows[family, 2.0 * K, "chebyshev"] = monte_carlo_mse(
-            P, 2.0 * K, "chebyshev", TRIALS, MASTER_SEED, family=family
-        )
+            P, 2.0 * K, "chebyshev", TRIALS, MASTER_SEED)
     return rows
 
 

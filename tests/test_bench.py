@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from supportsize import bench
@@ -27,14 +29,14 @@ from supportsize.distributions import (
 from supportsize.estimators import (
     ESTIMATOR_IDS,
     UndefinedEstimateError,
-    modified_chao_unseen,
     occupancy_width,
-    plugin_support,
     support_estimate,
+    unseen_estimates,
 )
 from supportsize.oracle import build_instance
 from supportsize.poisson_model import (
     Fingerprint,
+    MultiplicitySample,
     exact_plugin_mse,
     expected_prevalence,
     fingerprint,
@@ -78,19 +80,11 @@ def test_monte_carlo_agrees_with_direct_estimators():
                               master_seed=seed)
         sqerrs = []
         for fp in fps:
-            if estimator_id == "plugin":
-                unseen = 0.0
-            elif estimator_id == "chao":
-                try:
-                    unseen = support_estimate(fp, "chao").value - plugin_support(fp)
-                except UndefinedEstimateError:
-                    continue
-            elif estimator_id == "modified_chao":
-                unseen = modified_chao_unseen(fp)
-            else:
-                est = support_estimate(fp, "chebyshev", k=P.k, n=n)
-                unseen = est.value - plugin_support(fp)
-            sqerrs.append((fp.phi0 - unseen) ** 2)
+            try:
+                est = support_estimate(fp, estimator_id, k=P.k, n=n)
+            except UndefinedEstimateError:
+                continue
+            sqerrs.append((len(P) - est.value) ** 2)
         assert row.mse == pytest.approx(np.mean(sqerrs), rel=1e-12)
         assert row.undefined_count == trials - len(sqerrs)
 
@@ -179,7 +173,8 @@ def test_squared_error_identity():
     for t in range(20):
         fp = fingerprint(sample(P, 120.0, seed=[5, t]), P)
         s_hat = support_estimate(fp, "modified_chao").value
-        u_hat = modified_chao_unseen(fp)
+        row = [[fp.phi.get(i, 0) for i in range(3)]]
+        u_hat = unseen_estimates(row, [sum(fp.phi.values())], "modified_chao")[0]
         assert (len(P) - s_hat) ** 2 == pytest.approx(
             (fp.phi0 - u_hat) ** 2, rel=1e-12
         )
@@ -199,25 +194,11 @@ def test_all_trials_undefined_raises():
         monte_carlo_mse(P, 1e-6, "chao", trials=20, master_seed=0)
 
 
-def test_worker_count_does_not_change_results():
-    P = make_distribution("zipf", 100)
-    rows = [
-        monte_carlo_mse(P, 150.0, "modified_chao", trials=600, master_seed=9,
-                        workers=w)
-        for w in (1, 2, 5)
-    ]
-    assert rows[0] == rows[1] == rows[2]
-
-
 def test_workers_must_be_positive(tmp_path):
-    P = make_distribution("uniform", 20)
     cfg = SweepConfig(families=("uniform",), k=20, n_grid=(30.0,),
                       estimators=("plugin",), trials=5,
                       output_path=str(tmp_path / "sweep.csv"))
     for workers in (0, -3):
-        with pytest.raises(ValueError):
-            monte_carlo_mse(P, 30.0, "plugin", trials=5, master_seed=0,
-                            workers=workers)
         with pytest.raises(ValueError):
             run_sweep(cfg, workers=workers)
     assert not (tmp_path / "sweep.csv").exists()
@@ -243,7 +224,7 @@ def test_shared_draws_match_per_estimator_rows(tmp_path):
     for row in rows:
         P = make_distribution(row.family, cfg.k)
         assert row == monte_carlo_mse(P, row.n, row.estimator_id, cfg.trials,
-                                      cfg.master_seed, family=row.family)
+                                      cfg.master_seed)
     chao = [r for r in rows if r.estimator_id == "chao"]
     assert any(0 < r.undefined_count < cfg.trials for r in chao)
 
@@ -359,6 +340,17 @@ def test_ingest_counts_errors(tmp_path):
     bad.write_text("sym,cnt\na,1\n")
     with pytest.raises(ValueError):
         ingest_counts(bad)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.integers(0, 50), min_size=2, max_size=40))
+def test_counts_csv_round_trip_matches_fingerprint(tmp_path, counts):
+    # the file is rewritten by every example
+    path = counts_csv(tmp_path, [(f"x{j}", c) for j, c in enumerate(counts)])
+    multiplicities = MultiplicitySample(np.array(counts))
+    assert ingest_counts(path).phi == fingerprint(multiplicities).phi
+    fp = fingerprint(multiplicities, make_distribution("uniform", len(counts)))
+    assert fp.phi0 + sum(fp.phi.values()) == len(counts)
 
 
 def test_estimate_from_counts(tmp_path):

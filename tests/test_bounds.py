@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supportsize.bounds import (
     LOW_COLLISION_A,
@@ -53,6 +55,28 @@ def test_sigma_examples():
     assert SIGMA_CHAO == sigma_of((0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         sigma_of((1.5,))
+
+
+coefficients = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30)
+
+
+@given(coefficients, st.data())
+def test_sigma_of_is_at_least_beta0_and_monotone(coeffs, data):
+    sigma = sigma_of(coeffs)
+    assert sigma >= coeffs[0]
+    i = data.draw(st.integers(0, len(coeffs) - 1))
+    raised = list(coeffs)
+    raised[i] = data.draw(st.floats(coeffs[i], 1.0))
+    assert sigma_of(raised) >= sigma
+
+
+@given(coefficients, st.data())
+def test_sigma_of_rejects_coefficients_outside_unit_interval(coeffs, data):
+    bad = data.draw(st.floats(max_value=0.0, exclude_max=True)
+                    | st.floats(min_value=1.0, exclude_min=True))
+    i = data.draw(st.integers(0, len(coeffs)))
+    with pytest.raises(ValueError):
+        sigma_of(coeffs[:i] + [bad] + coeffs[i:])
 
 
 def test_plugin_bounds_n_zero():

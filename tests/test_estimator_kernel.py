@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 from supportsize.estimators import (
     ESTIMATOR_IDS,
     UndefinedEstimateError,
-    chao_unseen,
     chebyshev_coefficients,
-    chebyshev_support,
-    modified_chao_unseen,
     occupancy_width,
     support_estimate,
     unseen_estimates,
@@ -56,8 +53,6 @@ def test_batched_call_equals_one_row_calls(fps, k, ratio):
                 assert math.isnan(batched[t])
                 continue
             assert value == seen[t] + batched[t]
-            if estimator_id == "chebyshev":
-                assert chebyshev_support(fp, k, n).value == value
 
 
 @given(batches)
@@ -72,10 +67,11 @@ def test_closed_forms_and_undefined_chao(fps):
         assert math.isnan(chao[t]) == (phi2 == 0)
         if phi2:
             assert math.isclose(chao[t], phi1**2 / (2 * phi2), rel_tol=1e-12)
-            assert chao_unseen(fp) == chao[t]
+            assert support_estimate(fp, "chao").value == seen[t] + chao[t]
         assert math.isclose(modified[t], phi1**2 / (2 * (phi2 + 1)),
                             rel_tol=1e-12)
-        assert modified_chao_unseen(fp) == modified[t]
+        assert (support_estimate(fp, "modified_chao").value
+                == seen[t] + modified[t])
 
 
 def reference_chebyshev_support(fp, k, n):
@@ -96,7 +92,7 @@ def test_chebyshev_is_clamped_linear_estimator(fps, k, ratio):
     occupancy, seen = batch_arrays(fps, k)
     unseen = unseen_estimates(occupancy, seen, "chebyshev", k=k, n=n)
     for t, fp in enumerate(fps):
-        value = chebyshev_support(fp, k, n).value
+        value = support_estimate(fp, "chebyshev", k=k, n=n).value
         assert value >= 0 and seen[t] + unseen[t] >= 0
         expected, scale = reference_chebyshev_support(fp, k, n)
         # the kernel sums (g_i - 1) phi_i and adds the plug-in count, so it

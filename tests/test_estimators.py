@@ -7,12 +7,9 @@ from numpy.polynomial.chebyshev import chebval
 from supportsize.distributions import make_distribution
 from supportsize.estimators import (
     UndefinedEstimateError,
-    chao_unseen,
     chebyshev_coefficients,
-    chebyshev_support,
-    modified_chao_unseen,
-    plugin_support,
     support_estimate,
+    unseen_estimates,
 )
 from supportsize.poisson_model import Fingerprint, fingerprint, sample
 
@@ -21,23 +18,32 @@ def fp(phi, phi0=None):
     return Fingerprint(phi=phi, phi0=phi0)
 
 
+def estimate(f, estimator_id, **kwargs):
+    return support_estimate(f, estimator_id, **kwargs).value
+
+
+def unseen(f, estimator_id):
+    """The unseen-symbol part of a support estimate."""
+    return estimate(f, estimator_id) - sum(f.phi.values())
+
+
 def test_plugin_examples():
-    assert plugin_support(fp({1: 2, 3: 1})) == 3
-    assert plugin_support(fp({})) == 0
-    assert plugin_support(fp({1: 5})) == 5
+    assert estimate(fp({1: 2, 3: 1}), "plugin") == 3
+    assert estimate(fp({}), "plugin") == 0
+    assert estimate(fp({1: 5}), "plugin") == 5
 
 
 def test_chao_examples():
-    assert chao_unseen(fp({1: 4, 2: 2})) == 4
-    assert chao_unseen(fp({2: 7})) == 0
+    assert unseen(fp({1: 4, 2: 2}), "chao") == 4
+    assert unseen(fp({2: 7}), "chao") == 0
     with pytest.raises(UndefinedEstimateError):
-        chao_unseen(fp({1: 3}))
+        unseen(fp({1: 3}), "chao")
 
 
 def test_modified_chao_examples():
-    assert modified_chao_unseen(fp({1: 4, 2: 1})) == 4
-    assert modified_chao_unseen(fp({1: 3})) == 4.5
-    assert modified_chao_unseen(fp({})) == 0
+    assert unseen(fp({1: 4, 2: 1}), "modified_chao") == 4
+    assert unseen(fp({1: 3}), "modified_chao") == 4.5
+    assert unseen(fp({}), "modified_chao") == 0
 
 
 def test_support_estimate_composition():
@@ -57,7 +63,7 @@ def test_modified_never_exceeds_chao():
     for _ in range(200):
         phi = {1: int(rng.integers(0, 20)), 2: int(rng.integers(1, 10))}
         f = fp(phi)
-        assert modified_chao_unseen(f) <= chao_unseen(f)
+        assert unseen(f, "modified_chao") <= unseen(f, "chao")
 
 
 def test_estimates_non_negative_and_finite():
@@ -65,16 +71,16 @@ def test_estimates_non_negative_and_finite():
     for t in range(50):
         f = fingerprint(sample(P, 300.0, seed=[2, t]), P)
         values = [
-            plugin_support(f),
-            modified_chao_unseen(f),
-            chebyshev_support(f, 200, 300.0).value,
+            estimate(f, "plugin"),
+            unseen(f, "modified_chao"),
+            estimate(f, "chebyshev", k=200, n=300.0),
         ]
         assert all(v >= 0 and math.isfinite(v) for v in values)
-        assert plugin_support(f) + f.phi0 == len(P)
+        assert estimate(f, "plugin") + f.phi0 == len(P)
 
 
 def test_chebyshev_empty_fingerprint():
-    assert chebyshev_support(fp({}), 1000, 2000.0).value == 0
+    assert estimate(fp({}), "chebyshev", k=1000, n=2000.0) == 0
 
 
 def test_chebyshev_coefficients_cutoff():
@@ -85,7 +91,7 @@ def test_chebyshev_coefficients_cutoff():
     # beyond the cutoff the estimator is the plug-in: a fingerprint
     # supported entirely on counts > L gets coefficient 1 everywhere
     f = fp({L + 1: 4, L + 5: 2})
-    assert chebyshev_support(f, k, n).value == pytest.approx(6.0)
+    assert estimate(f, "chebyshev", k=k, n=n) == pytest.approx(6.0)
 
 
 def test_chebyshev_degenerate_interval_is_plugin():
@@ -94,7 +100,7 @@ def test_chebyshev_degenerate_interval_is_plugin():
     n = 2.0 * k * math.log(k)
     assert len(chebyshev_coefficients(k, n)) == 0
     f = fp({1: 3, 2: 2})
-    assert chebyshev_support(f, k, n).value == 5.0
+    assert estimate(f, "chebyshev", k=k, n=n) == 5.0
 
 
 @pytest.mark.parametrize("k", [10**2, 10**3, 10**4, 10**5, 10**6])
@@ -125,7 +131,7 @@ def test_chebyshev_monte_carlo_band():
     total = 0.0
     for t in range(500):
         f = fingerprint(sample(P, 2000.0, seed=[11, t]))
-        total += chebyshev_support(f, 1000, 2000.0).value
+        total += estimate(f, "chebyshev", k=1000, n=2000.0)
     mean = total / 500
     assert 800.0 <= mean <= 1200.0
 
@@ -133,10 +139,10 @@ def test_chebyshev_monte_carlo_band():
 def test_chebyshev_argument_validation():
     f = fp({1: 1})
     with pytest.raises(ValueError):
-        chebyshev_support(f, 1, 10.0)
+        estimate(f, "chebyshev", k=1, n=10.0)
     with pytest.raises(ValueError):
-        chebyshev_support(f, 10, 0.0)
+        estimate(f, "chebyshev", k=10, n=0.0)
     with pytest.raises(ValueError):
-        chebyshev_support(f, 10, 10.0, c0=-1.0)
+        unseen_estimates([[0, 1, 0]], [1], "chebyshev", k=10, n=10.0, c0=-1.0)
     with pytest.raises(ValueError):
         support_estimate(f, "chebyshev")

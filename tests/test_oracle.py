@@ -73,8 +73,12 @@ def test_build_instance_validation():
         build_instance([1.0] * 5)
     with pytest.raises(ValueError):
         build_instance([1.0, -1.0])
-    with pytest.raises(ValueError, match="exceeds cap"):
-        build_instance([50.0] * 4)  # about 1.17e8 cells
+    # [50.0] * 4 has about 1.17e8 cells. One symbol of mean 3000 or 1e5 has
+    # only 3356 or 102 019 cells, but its phi_table is cells x cells: 1.13e7
+    # entries (90 MB) or 1.04e10 (77.5 GiB).
+    for means in ([50.0] * 4, [3000.0], [1e5]):
+        with pytest.raises(ValueError, match="exceeds cap"):
+            build_instance(means)
 
 
 def reference_instance(means):

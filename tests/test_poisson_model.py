@@ -91,8 +91,6 @@ def test_fingerprint_examples():
 
     fp = fingerprint(MultiplicitySample(np.array([2, 2, 2])))
     assert fp.phi == {2: 3}
-    with pytest.raises(ValueError):
-        fp.get(0)
 
 
 def test_fingerprint_accounting(zoo_distribution):
