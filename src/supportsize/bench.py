@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 from scipy import special
 
-from .distributions import FAMILIES, DiscreteDistribution, make_distribution, support_size
+from .distributions import (FAMILIES, DiscreteDistribution, check_k,
+                            make_distribution, support_size)
 from .estimators import (
     ESTIMATOR_IDS,
     EstimatorOutput,
@@ -31,7 +32,7 @@ from .estimators import (
     support_estimate,
     unseen_estimates,
 )
-from .poisson_model import Fingerprint, check_n
+from .poisson_model import Fingerprint, MultiplicitySample, check_n, fingerprint
 
 DEFAULT_ESTIMATORS = ("plugin", "modified_chao", "chebyshev")
 
@@ -63,12 +64,9 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if not self.n_grid:
             raise ValueError("n_grid must be nonempty")
-        if not all(math.isfinite(n) and n > 0 for n in self.n_grid):
-            raise ValueError(
-                f"n_grid values must be finite and > 0, got {self.n_grid}"
-            )
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
+        for n in self.n_grid:
+            check_n(n)
+        check_k(self.k)
         unknown = set(self.families) - set(FAMILIES)
         if unknown:
             raise ValueError(f"unknown families: {sorted(unknown)}")
@@ -252,8 +250,7 @@ def load_config(path) -> SweepConfig:
 
 def ingest_counts(path) -> Fingerprint:
     """Read a symbol,count CSV into a fingerprint (phi0 unknown)."""
-    phi: dict[int, int] = {}
-    seen: set[str] = set()
+    counts: dict[str, int] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -265,23 +262,21 @@ def ingest_counts(path) -> Fingerprint:
             if len(row) != 2:
                 raise ValueError(f"{path}:{lineno}: malformed row {row!r}")
             symbol, count_text = row[0].strip(), row[1].strip()
-            if symbol in seen:
+            if symbol in counts:
                 raise ValueError(
                     f"{path}:{lineno}: duplicate symbol {symbol!r} "
                     "(multiplicity is ambiguous)"
                 )
-            seen.add(symbol)
             try:
                 count = int(count_text)
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: count {count_text!r} is not an integer"
                 ) from None
-            if count < 0:
-                raise ValueError(f"{path}:{lineno}: negative count {count}")
-            if count >= 1:
-                phi[count] = phi.get(count, 0) + 1
-    return Fingerprint(phi=phi)
+            if not 0 <= count < 2**63:  # MultiplicitySample holds int64
+                raise ValueError(f"{path}:{lineno}: count {count} outside [0, 2**63)")
+            counts[symbol] = count
+    return fingerprint(MultiplicitySample(list(counts.values())))
 
 
 def estimate_from_counts(

@@ -4,7 +4,8 @@ estimators, plus the root constant alpha and the sigma correction term.
 Two coefficient sets coexist on purpose: the combined modified-Chao bound
 carries 22.21 k^2/n^2 while the low-collision bound it derives from carries
 21.21 k^2/n^2. Both are exposed verbatim; the combined bound uses the larger
-(conservative) value.
+(conservative) value. check_unit_interval is the package's one check of
+values in [0, 1].
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 from scipy.special import lambertw
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, check_k
 from .poisson_model import check_n, expected_prevalence, prevalence_second_moment
 
 #: sigma for the Chao functional (beta_2 = 1): 1/sqrt(4 pi).
@@ -48,8 +49,7 @@ def _check_n_k(n: float, k: int, *, allow_zero_n: bool = False) -> None:
     """Bound entry points take a finite n > 0 (n >= 0 where the bound is
     defined at n = 0) and k >= 2."""
     check_n(n, allow_zero=allow_zero_n)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    check_k(k)
 
 
 @lru_cache(maxsize=1)
@@ -63,11 +63,16 @@ def solve_alpha() -> float:
     return float(2.0 * lambertw(math.exp(-1.0)).real)
 
 
+def check_unit_interval(values) -> None:
+    """Reject values outside [0, 1]; NaN is outside too."""
+    if not all(0 <= v <= 1 for v in values):
+        raise ValueError("values must lie in [0, 1]")
+
+
 def sigma_of(coeffs) -> float:
     """beta_0 + sum_{i>=1} beta_i / sqrt(2 pi i) for coefficients in [0,1]."""
     coeffs = list(coeffs)
-    if any(b < 0 or b > 1 for b in coeffs):
-        raise ValueError("coefficients must lie in [0, 1]")
+    check_unit_interval(coeffs)
     if not coeffs:
         return 0.0
     return coeffs[0] + math.fsum(
@@ -132,8 +137,7 @@ def high_collision_bound(
     Valid when E[phi_2] > 4 sigma_Chao; equals squared bias plus
     4 k^4 / (E[phi_2] - 4 sigma_Chao)^3.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    check_k(k)
     gap = e_phi2 - 4.0 * SIGMA_CHAO
     if gap <= 0:
         raise BoundInapplicableError(

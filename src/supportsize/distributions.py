@@ -6,6 +6,7 @@ entries are at least ``1/k`` ("strict" mode), which caps the support size at
 strict mode their support is truncated to the largest prefix whose
 renormalized minimum probability still clears the ``1/k`` floor. Lenient mode
 skips the floor and keeps all k symbols.
+check_k is the package's one check of a support bound k >= 2.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ class DiscreteDistribution:
             raise ValueError(f"k must be positive, got {self.k}")
         if probs.ndim != 1 or len(probs) == 0:
             raise ValueError("probs must be a nonempty 1-D vector")
-        if np.any(probs <= 0):
-            raise ValueError("zero or negative probabilities are not allowed")
+        if not np.all(probs > 0):
+            raise ValueError("zero, negative or NaN probabilities are not allowed")
         total = math.fsum(probs)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
@@ -61,6 +62,12 @@ class DiscreteDistribution:
 
     def __len__(self) -> int:
         return len(self.probs)
+
+
+def check_k(k: int) -> None:
+    """Reject k unless k >= 2, the domain of every entry point taking k."""
+    if not k >= 2:
+        raise ValueError(f"k must be >= 2, got {k}")
 
 
 def support_size(P: DiscreteDistribution) -> int:
@@ -102,8 +109,7 @@ def make_distribution(
     Raises:
         ValueError: unknown family, k < 2, or odd k for two_mixture.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    check_k(k)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
 

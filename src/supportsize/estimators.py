@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import Chebyshev, Polynomial
 
-from .poisson_model import Fingerprint
+from .distributions import check_k
+from .poisson_model import Fingerprint, check_n
 
 ESTIMATOR_IDS = ("plugin", "chao", "modified_chao", "chebyshev")
 
@@ -96,8 +97,8 @@ def unseen_estimates(
     if estimator_id == "chebyshev":
         if k is None or n is None:
             raise ValueError("chebyshev estimator requires k and n")
-        if k < 2 or not n > 0:
-            raise ValueError("chebyshev estimator requires k >= 2 and n > 0")
+        check_k(k)
+        check_n(n)
         if c0 <= 0 or c1 <= 0:
             raise ValueError("c0 and c1 must be positive")
         g = chebyshev_coefficients(k, float(n), c0, c1)

@@ -10,6 +10,7 @@ when it fails by more than the slack.
 The checks instantiate the decoupling bounds for polynomial-times-rational
 prevalence functionals, the characteristic-polynomial integral inequality,
 the prevalence moment recursion, and the negative-regression property.
+Values that must lie in [0, 1] go through bounds.check_unit_interval.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache, reduce
 import numpy as np
 from scipy.special import pdtrc, stirling2
 
-from .bounds import sigma_of
+from .bounds import check_unit_interval, sigma_of
 from .distributions import FAMILIES, DiscreteDistribution, make_distribution
 from .poisson_model import expected_prevalence, poisson_pmf, prevalence_second_moment
 
@@ -69,11 +70,7 @@ class LinearFunctional:
     coeffs: tuple[float, ...]
 
     def __post_init__(self):
-        if any(b < 0 or b > 1 for b in self.coeffs):
-            raise ValueError("coefficients must lie in [0, 1]")
-
-    def sigma(self) -> float:
-        return sigma_of(self.coeffs)
+        check_unit_interval(self.coeffs)
 
 
 def phi_squared(i: int) -> PolyFunctional:
@@ -147,7 +144,9 @@ def build_instance(means) -> OracleInstance:
     lam = np.array(means)
     per_tol = TAIL_TOL / m
     cutoffs = np.zeros(m, dtype=np.int64)
-    while np.any(heavy := pdtrc(cutoffs, lam) >= per_tol):
+    for _ in range(math.isqrt(CELL_CAP)):  # past it, cells * width > CELL_CAP
+        if not np.any(heavy := pdtrc(cutoffs, lam) >= per_tol):
+            break
         cutoffs[heavy] += 1
 
     max_counts = tuple(cutoffs.tolist())
@@ -155,8 +154,8 @@ def build_instance(means) -> OracleInstance:
     cells = math.prod(shape)
     width = max(shape)
     if cells * width > CELL_CAP:
-        raise ValueError(f"enumeration of {cells} cells x {width} columns "
-                         f"exceeds cap {CELL_CAP}")
+        raise ValueError(f"enumeration of at least {cells} cells x {width} "
+                         f"columns exceeds cap {CELL_CAP}")
 
     counts = np.indices(shape).reshape(m, cells).T
     pmf = poisson_pmf(np.arange(width), lam[:, None])
@@ -260,7 +259,7 @@ def check_decoupling_upper_concave(
     _assert_non_increasing(f, lv)
     _assert_concave(f, lv)
     p = inst.probs
-    d_sigma = poly.degree * lin.sigma()
+    d_sigma = poly.degree * sigma_of(lin.coeffs)
     e_lin = float(lv @ p)
     if e_lin < d_sigma:
         return _skip(
@@ -273,16 +272,16 @@ def check_decoupling_upper_concave(
     return _certify("decoupling_upper_concave", rhs - lhs, slack, lhs, rhs)
 
 
+def _inverse_rising(x, terms: int) -> np.ndarray:
+    """prod_{j=1..t} (x + j)^{-1} for t = 0..terms-1 along a new last axis."""
+    factors = np.ones(np.shape(x) + (terms,))
+    factors[..., 1:] = 1.0 / (np.asarray(x, float)[..., None] + np.arange(1, terms))
+    return np.cumprod(factors, axis=-1)
+
+
 def dominator_value(fprime, x: np.ndarray) -> np.ndarray:
     """Evaluate sum_t f'_t prod_{j=1..t} (x + j)^{-1} pointwise."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    basis = np.ones_like(x)
-    for t, coeff in enumerate(fprime):
-        if t > 0:
-            basis = basis / (x + t)
-        out += coeff * basis
-    return out
+    return _inverse_rising(x, len(fprime)) @ np.asarray(fprime, dtype=float)
 
 
 def check_domination_upper(
@@ -297,7 +296,7 @@ def check_domination_upper(
     if np.any(f(support) > dominator_value(fprime, support) + 1e-12):
         raise ValueError("fprime does not dominate f on the enumerated support")
     p = inst.probs
-    d_sigma = poly.degree * lin.sigma()
+    d_sigma = poly.degree * sigma_of(lin.coeffs)
     e_lin = float(lv @ p)
     if e_lin <= d_sigma:
         return _skip(
@@ -319,17 +318,15 @@ def check_domination_upper(
 
 def charpoly(supports) -> dict[float, float]:
     """Distribution of X = sum of independent variables with the given
-    (value, mass) support lists; values must lie in [0, 1].
+    (value, mass) support lists; values and masses must lie in [0, 1].
 
     The returned map exponent -> mass is exactly E[z^X] read as a sparse
     generalized polynomial in z.
     """
     for sup in supports:
-        masses = [mass for _, mass in sup]
-        if abs(math.fsum(masses) - 1.0) > 1e-12:
+        check_unit_interval(x for point in sup for x in point)
+        if not abs(math.fsum(mass for _, mass in sup) - 1.0) <= 1e-12:
             raise ValueError("masses of each variable must sum to 1")
-        if any(v < 0 or v > 1 for v, _ in sup):
-            raise ValueError("support values must lie in [0, 1]")
     acc: dict[float, float] = {0.0: 1.0}
     for sup in supports:
         nxt: dict[float, float] = {}
@@ -374,10 +371,9 @@ def check_inverse_falling_moments(supports, max_r: int = 3) -> Certificate:
         return _skip("inverse_falling_moments", f"E[X]^-{max_r} overflows")
     s = np.fromiter(dist.keys(), dtype=float, count=len(dist))
     mass = np.fromiter(dist.values(), dtype=float, count=len(dist))
-    # column r-1 holds prod_{j=1..r} (s + j)^{-1} at every support point s
-    inv = np.cumprod(1.0 / (s[:, None] + np.arange(1, max_r + 1)), axis=1)
+    inv = _inverse_rising(s, max_r + 1)
     worst = min(
-        (ex**-r - math.fsum(mass * inv[:, r - 1]) for r in range(1, max_r + 1)),
+        (ex**-r - math.fsum(mass * inv[:, r]) for r in range(1, max_r + 1)),
         default=math.inf,
     )
     slack = 1e-12 * max(1.0, top)
@@ -422,8 +418,7 @@ def check_degree2_second_moment(
     <= L and coefficients in [0, 1]."""
     if poly.degree != 2:
         raise ValueError("poly must have degree 2")
-    if any(c < 0 or c > 1 for c in poly.coeffs.values()):
-        raise ValueError("coefficients must lie in [0, 1]")
+    check_unit_interval(poly.coeffs.values())
     if poly.max_index() > L or L < 1:
         raise ValueError("poly indices must be <= L with L >= 1")
     if not 1 < inst.num_symbols <= k:
@@ -441,9 +436,7 @@ def check_conditional_moment(inst: OracleInstance, j: int, h: int) -> Certificat
     """E[phi_j^h | phi_2 = 0] <= E[phi_j^h] / (1 - 2 e^{-2})^{min(m, h)}."""
     if j == 2:
         raise ValueError("j must differ from the conditioning index 2")
-    mask = inst.phi_table[:, 2] == 0 if inst.phi_table.shape[1] > 2 else (
-        np.ones(len(inst.probs), dtype=bool)
-    )
+    mask = inst.prevalences(2) == 0
     pz = float(inst.probs[mask].sum())
     if pz <= 0:
         raise ValueError("conditioning event phi_2 = 0 has zero mass")
@@ -462,7 +455,7 @@ def check_negative_regression(inst: OracleInstance, i: int, j: int, shape) -> Ce
     non-decreasing shape function."""
     if i == j:
         raise ValueError("i and j must differ")
-    pj = inst.prevalences(j).astype(np.int64)
+    pj = inst.prevalences(j)
     si = shape(inst.prevalences(i))
     sup = float(np.max(np.abs(si), initial=0.0))
     prev = None

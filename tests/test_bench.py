@@ -327,6 +327,9 @@ def test_ingest_counts(tmp_path):
     # zero counts are dropped (the symbol was catalogued but not observed)
     fp = ingest_counts(counts_csv(tmp_path, [("a", 0), ("b", 3)]))
     assert fp.phi == {3: 1}
+    # a count is tallied as an int64 multiplicity, as a sample's is
+    fp = ingest_counts(counts_csv(tmp_path, [("a", 2**63 - 1)]))
+    assert fp.phi == {2**63 - 1: 1}
 
 
 def test_ingest_counts_errors(tmp_path):
@@ -336,6 +339,8 @@ def test_ingest_counts_errors(tmp_path):
         ingest_counts(counts_csv(tmp_path, [("a", -1)]))
     with pytest.raises(ValueError):
         ingest_counts(counts_csv(tmp_path, [("a", "x")]))
+    with pytest.raises(ValueError, match=r":3: count 9223372036854775808 "):
+        ingest_counts(counts_csv(tmp_path, [("a", 1), ("b", 2**63)]))
     bad = tmp_path / "bad.csv"
     bad.write_text("sym,cnt\na,1\n")
     with pytest.raises(ValueError):

@@ -162,3 +162,16 @@ def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not any(tmp_path.iterdir())
+
+
+def test_estimate_chebyshev_rejects_infinite_n(tmp_path, capsys):
+    # the Chebyshev estimator takes n through check_n, which refuses n = inf
+    path = tmp_path / "counts.csv"
+    path.write_text("symbol,count\na,1\nb,1\nc,1\nd,2\n")
+    code = main(["estimate", "--counts", str(path), "--estimators",
+                 "chebyshev", "--k", "1000", "--n", "inf"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

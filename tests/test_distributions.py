@@ -130,6 +130,11 @@ def test_validation_rejects_bad_vectors():
         # min prob below the floor in strict mode
         DiscreteDistribution(probs=np.array([0.9, 0.1]), k=4)
     DiscreteDistribution(probs=np.array([0.9, 0.1]), k=4, strict=False)
+    # NaN fails every comparison, so each test must be one that NaN fails
+    for strict in (True, False):
+        with pytest.raises(ValueError):
+            DiscreteDistribution(probs=np.array([math.nan, 0.5]), k=2,
+                                 strict=strict)
 
 
 def test_probs_are_immutable():

@@ -8,9 +8,12 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import pdtrc
 
+from supportsize import oracle
 from supportsize.distributions import DiscreteDistribution, make_distribution
 from supportsize.oracle import (
+    CELL_CAP,
     TAIL_TOL,
     LinearFunctional,
     PolyFunctional,
@@ -66,19 +69,27 @@ def test_build_instance_joint_independence():
     assert inst.probs[idx[0]] == pytest.approx(math.exp(-2.0), rel=1e-13)
 
 
-def test_build_instance_validation():
+def test_build_instance_validation(monkeypatch):
     with pytest.raises(ValueError):
         build_instance([])
     with pytest.raises(ValueError):
         build_instance([1.0] * 5)
     with pytest.raises(ValueError):
         build_instance([1.0, -1.0])
-    # [50.0] * 4 has about 1.17e8 cells. One symbol of mean 3000 or 1e5 has
-    # only 3356 or 102 019 cells, but its phi_table is cells x cells: 1.13e7
-    # entries (90 MB) or 1.04e10 (77.5 GiB).
-    for means in ([50.0] * 4, [3000.0], [1e5]):
+    # [50.0] * 4 has about 1.17e8 cells. One symbol of mean 3000 needs only
+    # 3356 cells, but its phi_table is cells x cells: 1.13e7 entries (90 MB).
+    # That cutoff, like those of 1e5 and up, lies beyond isqrt(CELL_CAP), so
+    # the table is over the cap before the cutoff search ends; the search
+    # must stop there rather than step on towards the tail (about 1e9 steps
+    # for a mean of 1e9).
+    steps = []
+    monkeypatch.setattr(oracle, "pdtrc",
+                        lambda M, lam: steps.append(1) or pdtrc(M, lam))
+    for means in ([50.0] * 4, [3000.0], [1e5], [1e9], [1e300]):
+        steps.clear()
         with pytest.raises(ValueError, match="exceeds cap"):
             build_instance(means)
+        assert len(steps) <= math.isqrt(CELL_CAP)
 
 
 def reference_instance(means):
