@@ -62,8 +62,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.n_grid:
-            raise ValueError("n_grid must be nonempty")
+        for key in ("families", "n_grid", "estimators"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must be nonempty")
         for n in self.n_grid:
             check_n(n)
         check_k(self.k)
@@ -290,6 +291,8 @@ def estimate_from_counts(
     Returns one entry per requested estimator; the Chao entry is None when
     phi_2 = 0 (undefined). The chebyshev estimator needs k and n.
     """
+    if not estimators:
+        raise ValueError("estimators must be nonempty")
     fp = ingest_counts(path)
     report: dict[str, EstimatorOutput | None] = {}
     for estimator_id in estimators:

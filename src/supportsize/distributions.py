@@ -81,13 +81,11 @@ def _truncated_support(weights: np.ndarray, k: int) -> int:
     ``weights`` holds the first k weights, assumed non-increasing so the
     minimum of a prefix is its last weight. The ratio is non-increasing in
     m, so m is the first index where it fails the floor (k if none does);
-    the prefix sums add left to right, as a running total would.
+    m >= 1, as the first ratio is 1. The prefix sums add left to right, as
+    a running total would.
     """
     ok = weights / np.cumsum(weights) >= (1.0 / k) * (1.0 - 1e-12)
-    m = int(np.append(ok, False).argmin())
-    if m == 0:
-        raise ValueError("no prefix satisfies the 1/k floor")
-    return m
+    return int(np.append(ok, False).argmin())
 
 
 def make_distribution(

@@ -45,15 +45,15 @@ def _degree(k: int, c0: float) -> int:
     return math.floor(c0 * math.log(k))
 
 
-def occupancy_width(k: int | None = None, c0: float = DEFAULT_C0) -> int:
+def occupancy_width(k: int | None = None) -> int:
     """Columns phi_0..phi_{W-1} that unseen_estimates reads for any estimator.
 
     Every estimator reads phi_1 and phi_2; the Chebyshev estimator at support
-    bound k also reads phi_1..phi_L, L = floor(c0 log k).
+    bound k also reads phi_1..phi_L, L = floor(DEFAULT_C0 log k).
     """
     if k is None or k < 2:
         return 3
-    return max(3, _degree(k, c0) + 1)
+    return max(3, _degree(k, DEFAULT_C0) + 1)
 
 
 def unseen_estimates(
@@ -63,13 +63,11 @@ def unseen_estimates(
     *,
     k: int | None = None,
     n: float | None = None,
-    c0: float = DEFAULT_C0,
-    c1: float = DEFAULT_C1,
 ) -> np.ndarray:
     """Unseen-symbol estimate of every row of a truncated occupancy matrix.
 
     occupancy[t, i] is phi_i of fingerprint t for i < W, with W at least
-    occupancy_width(k, c0); column 0 is never read, so the latent phi_0 may
+    occupancy_width(k); column 0 is never read, so the latent phi_0 may
     sit there. seen[t] is the plug-in count of fingerprint t, the sum of
     phi_i over every i >= 1, counts at or beyond W included.
 
@@ -99,9 +97,7 @@ def unseen_estimates(
             raise ValueError("chebyshev estimator requires k and n")
         check_k(k)
         check_n(n)
-        if c0 <= 0 or c1 <= 0:
-            raise ValueError("c0 and c1 must be positive")
-        g = chebyshev_coefficients(k, float(n), c0, c1)
+        g = chebyshev_coefficients(k, float(n))
         if occupancy.shape[1] <= len(g):
             raise ValueError(
                 f"chebyshev reads phi_1..phi_{len(g)}; occupancy has only "
@@ -151,6 +147,8 @@ def chebyshev_coefficients(
     or the interval degenerates, which happens once n is large enough that
     every symbol is well sampled.
     """
+    if not (0 < c0 < math.inf and 0 < c1 < math.inf):
+        raise ValueError(f"c0 and c1 must be positive and finite, got {c0}, {c1}")
     L = _degree(k, c0)
     if L < 1 or c1 * math.log(k) / n <= 1.0 / k:
         return np.zeros(0)

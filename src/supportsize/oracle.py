@@ -99,6 +99,8 @@ class OracleInstance:
 
     def prevalences(self, i: int) -> np.ndarray:
         """phi_i evaluated on every enumerated cell."""
+        if i < 0:
+            raise ValueError(f"prevalence index must be >= 0, got {i}")
         if i < self.phi_table.shape[1]:
             return self.phi_table[:, i].astype(float)
         return np.zeros(len(self.probs))
@@ -316,30 +318,22 @@ def check_domination_upper(
 # ---------------------------------------------------------------------------
 
 
-def charpoly(supports) -> dict[float, float]:
-    """Distribution of X = sum of independent variables with the given
-    (value, mass) support lists; values and masses must lie in [0, 1].
+def charpoly(supports) -> tuple[np.ndarray, np.ndarray]:
+    """Law of X = sum of independent variables with the given (value, mass)
+    support lists; values and masses must lie in [0, 1].
 
-    The returned map exponent -> mass is exactly E[z^X] read as a sparse
-    generalized polynomial in z.
+    Returns aligned arrays (values, masses) with one entry per choice of a
+    support point for each variable, in row-major order (the last variable
+    varies fastest); equal sums are not merged. Read as the sparse
+    generalized polynomial sum masses * z^values, it is exactly E[z^X].
     """
     for sup in supports:
         check_unit_interval(x for point in sup for x in point)
         if not abs(math.fsum(mass for _, mass in sup) - 1.0) <= 1e-12:
             raise ValueError("masses of each variable must sum to 1")
-    acc: dict[float, float] = {0.0: 1.0}
-    for sup in supports:
-        nxt: dict[float, float] = {}
-        for s, mass in acc.items():
-            for v, mv in sup:
-                key = s + v
-                nxt[key] = nxt.get(key, 0.0) + mass * mv
-        acc = nxt
-    return acc
-
-
-def _charpoly_mean(dist: dict[float, float]) -> float:
-    return math.fsum(s * m for s, m in dist.items())
+    values = reduce(np.add.outer, [[v for v, _ in sup] for sup in supports], 0.0)
+    masses = reduce(np.multiply.outer, [[m for _, m in sup] for sup in supports], 1.0)
+    return np.ravel(values), np.ravel(masses)
 
 
 def check_charpoly_integral(supports, u: float) -> Certificate:
@@ -349,31 +343,32 @@ def check_charpoly_integral(supports, u: float) -> Certificate:
     """
     if not 0.0 < u <= 1.0:
         raise ValueError("u must lie in (0, 1]")
-    dist = charpoly(supports)
-    ex = _charpoly_mean(dist)
+    values, masses = charpoly(supports)
+    ex = math.fsum(values * masses)
     if ex <= 0:
         return _skip("charpoly_integral", "E[X] = 0")
-    lhs = math.fsum(mass * u ** (s + 1.0) / (s + 1.0) for s, mass in dist.items())
-    rhs = math.fsum(mass * u**s for s, mass in dist.items()) / ex
+    # the powers come from Python's pow (libm), one per entry: numpy's
+    # vectorised power rounds differently, depending on the CPU's SIMD level
+    s1 = values + 1.0
+    lhs = math.fsum(masses * [u**s for s in s1.tolist()] / s1)
+    rhs = math.fsum(masses * [u**s for s in values.tolist()]) / ex
     slack = 1e-12 * (1.0 + abs(rhs))
     return _certify("charpoly_integral", rhs - lhs, slack, lhs, rhs)
 
 
 def check_inverse_falling_moments(supports, max_r: int = 3) -> Certificate:
     """E[prod_{j=1..r} (X + j)^{-1}] <= E[X]^{-r} for r = 1..max_r."""
-    dist = charpoly(supports)
-    ex = _charpoly_mean(dist)
+    values, masses = charpoly(supports)
+    ex = math.fsum(values * masses)
     if ex <= 0:
         return _skip("inverse_falling_moments", "E[X] = 0")
     try:
         top = ex ** -max_r
     except OverflowError:
         return _skip("inverse_falling_moments", f"E[X]^-{max_r} overflows")
-    s = np.fromiter(dist.keys(), dtype=float, count=len(dist))
-    mass = np.fromiter(dist.values(), dtype=float, count=len(dist))
-    inv = _inverse_rising(s, max_r + 1)
+    inv = _inverse_rising(values, max_r + 1)
     worst = min(
-        (ex**-r - math.fsum(mass * inv[:, r]) for r in range(1, max_r + 1)),
+        (ex**-r - math.fsum(masses * inv[:, r]) for r in range(1, max_r + 1)),
         default=math.inf,
     )
     slack = 1e-12 * max(1.0, top)
@@ -549,10 +544,9 @@ def _assert_concave(f, xs: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _random_instance(rng: np.random.Generator, mean_range=(0.2, 3.0)) -> OracleInstance:
+def _random_means(rng: np.random.Generator, mean_range=(0.2, 3.0)) -> np.ndarray:
     m = int(rng.integers(1, 4))  # 1 to 3 symbols
-    means = rng.uniform(*mean_range, size=m)
-    return build_instance(means)
+    return rng.uniform(*mean_range, size=m)
 
 
 def _random_poly(rng: np.random.Generator, degree: int, max_index: int = 3,
@@ -591,7 +585,7 @@ def certification_campaign(
 
     monotone = ["1/(1+x)", "exp(-x)", "1/(1+x)^2"]
     for _ in range(decoupling):
-        inst = _random_instance(rng)
+        inst = build_instance(_random_means(rng))
         d = int(rng.integers(1, 4))
         poly = _random_poly(rng, d)
         lin = _random_linear(rng)
@@ -600,14 +594,14 @@ def certification_campaign(
 
     for _ in range(decoupling):
         # small means and few coefficients keep E[linear] above d*sigma often
-        inst = _random_instance(rng, mean_range=(0.2, 1.0))
+        inst = build_instance(_random_means(rng, mean_range=(0.2, 1.0)))
         poly = _random_poly(rng, degree=1)
         lin = LinearFunctional(coeffs=(1.0, float(rng.uniform(0, 0.3))))
         certs.append(check_decoupling_upper_concave(inst, poly, lin, f_neg_identity))
 
     dominated = ["1/(1+x)", "1/(1+x)^2", "1/((1+x)(2+x))"]
     for _ in range(decoupling):
-        inst = _random_instance(rng, mean_range=(0.2, 1.0))
+        inst = build_instance(_random_means(rng, mean_range=(0.2, 1.0)))
         poly = _random_poly(rng, degree=1)
         lin = LinearFunctional(coeffs=(1.0,))
         name = dominated[int(rng.integers(len(dominated)))]
@@ -627,28 +621,29 @@ def certification_campaign(
         certs.append(check_inverse_falling_moments(supports))
 
     for _ in range(moment):
-        inst = _random_instance(rng)
+        inst = build_instance(_random_means(rng))
         j = int(rng.integers(0, 4))
         h = int(rng.integers(1, 5))
         certs.append(check_moment_bound(inst, j, h))
 
     for _ in range(degree2):
-        inst = _random_instance(rng)
-        if inst.num_symbols < 2:
-            inst = build_instance(rng.uniform(0.2, 3.0, size=2))
+        means = _random_means(rng)
+        if len(means) < 2:
+            means = rng.uniform(0.2, 3.0, size=2)
+        inst = build_instance(means)
         L = int(rng.integers(1, 4))
         poly = _random_poly(rng, degree=2, max_index=L)
         certs.append(check_degree2_second_moment(inst, poly, k=4, L=L))
 
     for _ in range(conditional):
-        inst = _random_instance(rng)
+        inst = build_instance(_random_means(rng))
         j = int(rng.choice([0, 1, 3]))
         h = int(rng.integers(1, 5))
         certs.append(check_conditional_moment(inst, j, h))
 
     shapes = [lambda x: x, lambda x: x**2, lambda x: x**4]
     for _ in range(regression):
-        inst = _random_instance(rng)
+        inst = build_instance(_random_means(rng))
         i, j = rng.choice(4, size=2, replace=False)
         shape = shapes[int(rng.integers(len(shapes)))]
         certs.append(check_negative_regression(inst, int(i), int(j), shape))

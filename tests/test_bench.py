@@ -330,6 +330,10 @@ def test_ingest_counts(tmp_path):
     # a count is tallied as an int64 multiplicity, as a sample's is
     fp = ingest_counts(counts_csv(tmp_path, [("a", 2**63 - 1)]))
     assert fp.phi == {2**63 - 1: 1}
+    # a blank line inside the file is skipped
+    path = tmp_path / "blank.csv"
+    path.write_text("symbol,count\na,1\n\nb,2\n")
+    assert ingest_counts(path).phi == {1: 1, 2: 1}
 
 
 def test_ingest_counts_errors(tmp_path):

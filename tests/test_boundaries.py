@@ -2,29 +2,50 @@
 
 Each domain has one checking function: n finite and > 0
 (poisson_model.check_n), k >= 2 (distributions.check_k) and values in
-[0, 1] (bounds.check_unit_interval). NaN fails each of them.
+[0, 1] (bounds.check_unit_interval). NaN fails each of them. The table
+also holds every other ValueError branch of the library's entry points.
 """
 
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from supportsize.bench import SweepConfig
+from supportsize.bench import (SweepConfig, estimate_from_counts, ingest_counts,
+                               monte_carlo_mse)
 from supportsize.bounds import bound_report, high_collision_bound, sigma_of
-from supportsize.distributions import make_distribution
-from supportsize.estimators import support_estimate, unseen_estimates
+from supportsize.distributions import DiscreteDistribution, make_distribution
+from supportsize.estimators import (chebyshev_coefficients, support_estimate,
+                                    unseen_estimates)
 from supportsize.oracle import (
     LinearFunctional,
     PolyFunctional,
     build_instance,
     charpoly,
+    check_charpoly_integral,
+    check_decoupling_lower,
+    check_decoupling_upper_concave,
     check_degree2_second_moment,
+    check_moment_bound,
+    check_negative_regression,
+    f_inv,
+    moment_coefficients,
+    phi_squared,
 )
-from supportsize.poisson_model import Fingerprint
+from supportsize.poisson_model import Fingerprint, MultiplicitySample, fingerprint
 
 INF, NAN = math.inf, math.nan
 FP = Fingerprint({1: 3, 2: 1})
 ROW, SEEN = [[0, 3, 1, 0, 0, 0]], [4]
+PHI1 = PolyFunctional(1, {(1,): 1.0})
+PHI0 = LinearFunctional((1.0,))
+
+
+def counts_file(text: str) -> str:
+    # the test runs in a temporary working directory
+    Path("counts.csv").write_text(text)
+    return "counts.csv"
 
 CASES = {
     "support_estimate chebyshev n=inf":
@@ -51,10 +72,65 @@ CASES = {
     "charpoly nan value": lambda: charpoly([[(NAN, 1.0)]]),
     "charpoly nan mass": lambda: charpoly([[(0.0, NAN), (1.0, 1.0)]]),
     "charpoly masses 1.5, -0.5": lambda: charpoly([[(0.0, 1.5), (1.0, -0.5)]]),
+    "check_charpoly_integral u=0":
+        lambda: check_charpoly_integral([[(1.0, 1.0)]], 0.0),
+    "check_charpoly_integral u=nan":
+        lambda: check_charpoly_integral([[(1.0, 1.0)]], NAN),
+    **{f"chebyshev_coefficients {name}={value}":
+       (lambda name=name, value=value:
+        chebyshev_coefficients(1000, 100.0, **{name: value}))
+       for name in ("c0", "c1") for value in (0.0, NAN, INF)},
+    "monte_carlo_mse trials=0":
+        lambda: monte_carlo_mse(make_distribution("uniform", 10), 10.0,
+                                "plugin", trials=0, master_seed=0),
+    "DiscreteDistribution k=0":
+        lambda: DiscreteDistribution(np.array([1.0]), k=0),
+    "DiscreteDistribution empty probs":
+        lambda: DiscreteDistribution(np.array([]), k=2),
+    "DiscreteDistribution support > k":
+        lambda: DiscreteDistribution(np.full(3, 1 / 3), k=2),
+    "unseen_estimates 1-D occupancy":
+        lambda: unseen_estimates([0, 3, 1], SEEN, "plugin"),
+    "unseen_estimates 2 columns":
+        lambda: unseen_estimates([[0, 3]], SEEN, "plugin"),
+    "unseen_estimates chebyshev row narrower than L + 1":
+        lambda: unseen_estimates([[0, 3, 1]], SEEN, "chebyshev", k=1000, n=100.0),
+    "PolyFunctional degree 0": lambda: PolyFunctional(0, {}),
+    "moment_coefficients h=0": lambda: moment_coefficients(0),
+    "check_degree2_second_moment degree-1 poly":
+        lambda: check_degree2_second_moment(build_instance([1.0, 1.0]), PHI1,
+                                            k=4, L=1),
+    "check_degree2_second_moment 1 symbol":
+        lambda: check_degree2_second_moment(build_instance([1.0]),
+                                            phi_squared(1), k=4, L=1),
+    "prevalences i=-1": lambda: build_instance([0.5, 1.0]).prevalences(-1),
+    "check_moment_bound j=-1":
+        lambda: check_moment_bound(build_instance([0.5, 1.0]), -1, 2),
+    "check_negative_regression i=-1":
+        lambda: check_negative_regression(build_instance([0.5, 1.0]), -1, 1,
+                                          lambda x: x),
+    "check_decoupling_lower increasing f":
+        lambda: check_decoupling_lower(build_instance([1.0]), PHI1, PHI0,
+                                       lambda x: np.asarray(x, dtype=float)),
+    "check_decoupling_upper_concave convex f":
+        lambda: check_decoupling_upper_concave(build_instance([1.0] * 3), PHI1,
+                                               PHI0, f_inv),
+    "MultiplicitySample [-1]": lambda: MultiplicitySample([-1]),
+    "Fingerprint {0: 1}": lambda: Fingerprint({0: 1}),
+    "fingerprint length mismatch":
+        lambda: fingerprint(MultiplicitySample([1, 2]),
+                            make_distribution("uniform", 3)),
+    "SweepConfig families=()": lambda: SweepConfig(families=()),
+    "SweepConfig estimators=()": lambda: SweepConfig(estimators=()),
+    "estimate_from_counts no estimators":
+        lambda: estimate_from_counts(counts_file("symbol,count\na,1\n"), ()),
+    "ingest_counts 3-field row":
+        lambda: ingest_counts(counts_file("symbol,count\na,1,2\n")),
 }
 
 
 @pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
-def test_out_of_domain_value_raises(call):
+def test_out_of_domain_value_raises(call, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError):
         call()

@@ -218,6 +218,9 @@ def test_bound_report_shape():
     assert lean.low_collision is None and lean.high_collision is None
     tiny = bound_report(1.0, 100)
     assert tiny.chao_worst_case is None and tiny.epsilon_term is None
+    # uniform(10) at n=1 has E[phi_2] ~ 0.045, below 4 sigma_Chao
+    sparse = bound_report(1.0, 10, make_distribution("uniform", 10))
+    assert sparse.high_collision is None
 
 
 BOUND_ENTRY_POINTS = {

@@ -144,6 +144,8 @@ def test_usage_error_exit_code(capsys):
     ("sweep", "--workers", "0", "--k", "30", "--trials", "5"),
     ("sweep", "--n-grid", "-3", "--trials", "5"),
     ("sweep", "--families", "bogus"),
+    ("sweep", "--families", ","),
+    ("sweep", "--estimators", ","),
     ("sweep", "--k", "thirty"),
     ("dist", "dump", "--family", "uniform", "--k", "1"),
     ("dist", "dump", "--family", "two_mixture", "--k", "7"),
@@ -164,12 +166,16 @@ def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
     assert not any(tmp_path.iterdir())
 
 
-def test_estimate_chebyshev_rejects_infinite_n(tmp_path, capsys):
-    # the Chebyshev estimator takes n through check_n, which refuses n = inf
+@pytest.mark.parametrize("flags", [
+    ("--estimators", "chebyshev", "--k", "1000", "--n", "inf"),
+    ("--estimators", ","),
+], ids=lambda flags: " ".join(flags))
+def test_estimate_rejects_bad_input(flags, tmp_path, capsys):
+    # the Chebyshev estimator takes n through check_n, which refuses n = inf,
+    # and an empty estimator list is refused rather than printing nothing
     path = tmp_path / "counts.csv"
     path.write_text("symbol,count\na,1\nb,1\nc,1\nd,2\n")
-    code = main(["estimate", "--counts", str(path), "--estimators",
-                 "chebyshev", "--k", "1000", "--n", "inf"])
+    code = main(["estimate", "--counts", str(path), *flags])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

@@ -9,7 +9,6 @@ from supportsize.estimators import (
     UndefinedEstimateError,
     chebyshev_coefficients,
     support_estimate,
-    unseen_estimates,
 )
 from supportsize.poisson_model import Fingerprint, fingerprint, sample
 
@@ -143,6 +142,6 @@ def test_chebyshev_argument_validation():
     with pytest.raises(ValueError):
         estimate(f, "chebyshev", k=10, n=0.0)
     with pytest.raises(ValueError):
-        unseen_estimates([[0, 1, 0]], [1], "chebyshev", k=10, n=10.0, c0=-1.0)
+        chebyshev_coefficients(10, 10.0, c0=-1.0)
     with pytest.raises(ValueError):
         support_estimate(f, "chebyshev")

@@ -241,13 +241,20 @@ def test_domination_rejects_bad_dominator():
 
 
 def test_charpoly_bernoulli():
-    dist = charpoly([[(0.0, 0.7), (1.0, 0.3)]])
-    assert dist == pytest.approx({0.0: 0.7, 1.0: 0.3})
+    values, masses = charpoly([[(0.0, 0.7), (1.0, 0.3)]])
+    assert values.tolist() == [0.0, 1.0]
+    assert masses == pytest.approx([0.7, 0.3])
 
 
 def test_charpoly_convolution():
-    dist = charpoly([[(0.0, 0.5), (1.0, 0.5)]] * 2)
-    assert dist == pytest.approx({0.0: 0.25, 1.0: 0.5, 2.0: 0.25})
+    # one entry per choice of support points, the last variable fastest
+    values, masses = charpoly([[(0.0, 0.5), (1.0, 0.5)]] * 2)
+    assert values.tolist() == [0.0, 1.0, 1.0, 2.0]
+    assert masses.tolist() == [0.25, 0.25, 0.25, 0.25]
+    law = {s: math.fsum(masses[values == s]) for s in np.unique(values)}
+    assert law == pytest.approx({0.0: 0.25, 1.0: 0.5, 2.0: 0.25})
+    # the empty sum is the point mass at 0
+    assert [a.tolist() for a in charpoly([])] == [[0.0], [1.0]]
 
 
 def test_charpoly_total_mass():
@@ -257,8 +264,12 @@ def test_charpoly_total_mass():
         values = rng.uniform(0, 1, size=3)
         masses = rng.dirichlet(np.ones(3))
         supports.append(list(zip(values.tolist(), masses.tolist())))
-    dist = charpoly(supports)
-    assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+    values, masses = charpoly(supports)
+    assert math.fsum(masses) == pytest.approx(1.0, abs=1e-12)
+    # entry c is the c-th choice of support points in itertools.product order
+    choices = list(itertools.product(*supports))
+    assert values.tolist() == [sum(v for v, _ in pts) for pts in choices]
+    assert masses.tolist() == [math.prod(m for _, m in pts) for pts in choices]
 
 
 def test_charpoly_validation():
@@ -311,8 +322,8 @@ supports = st.lists(
 @given(supports, st.integers(1, 5))
 def test_inverse_falling_moments_matches_per_item_products(supports, max_r):
     cert = check_inverse_falling_moments(supports, max_r)
-    dist = charpoly(supports)
-    ex = math.fsum(s * mass for s, mass in dist.items())
+    values, masses = charpoly(supports)
+    ex = math.fsum(s * mass for s, mass in zip(values, masses))
     if ex <= 0:
         assert cert.status == "skipped"
         return
@@ -320,10 +331,26 @@ def test_inverse_falling_moments_matches_per_item_products(supports, max_r):
     for r in range(1, max_r + 1):
         lhs = math.fsum(
             mass * np.prod([1.0 / (s + j) for j in range(1, r + 1)])
-            for s, mass in dist.items()
+            for s, mass in zip(values, masses)
         )
         worst = min(worst, ex**-r - lhs)
     assert cert.margin == worst
+
+
+@settings(deadline=None)
+@given(supports, st.floats(1e-3, 1.0))
+def test_charpoly_integral_matches_per_entry_sums(supports, u):
+    # each power is Python's pow of one law entry, so the certificate does
+    # not depend on how numpy vectorises power on this CPU
+    cert = check_charpoly_integral(supports, u)
+    law = list(zip(*(a.tolist() for a in charpoly(supports))))
+    ex = math.fsum(s * mass for s, mass in law)
+    if ex <= 0:
+        assert cert.status == "skipped"
+        return
+    lhs = math.fsum(mass * u ** (s + 1.0) / (s + 1.0) for s, mass in law)
+    rhs = math.fsum(mass * u**s for s, mass in law) / ex
+    assert (cert.lhs, cert.rhs) == (lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
