@@ -126,15 +126,18 @@ def build_instance(means) -> OracleInstance:
 
     Cutoff rule: symbol x keeps the counts 0..M_x, where M_x is the smallest
     M whose Poisson upper tail P(N_x > M) = pdtrc(M, lambda_x) is below
-    TAIL_TOL / m, so the un-enumerated mass is below TAIL_TOL overall. Every
-    symbol starts at M = 0 and steps up while its tail is still too heavy.
+    TAIL_TOL / m, so the un-enumerated mass is below TAIL_TOL overall. One
+    pdtrc call evaluates the tails on M = 0..31, and each cutoff is the first
+    M whose tail clears; while a tail is still too heavy the grid doubles,
+    evaluating only its new columns. A symbol not cleared by M =
+    isqrt(CELL_CAP) takes that cutoff, which puts phi_table over the cap.
 
-    Grid: the cells are every multiplicity vector in the box
-    prod_x {0..M_x}, in row-major order (the last symbol varies fastest).
-    A cell's probability is the product of its per-symbol Poisson pmfs,
-    multiplied in symbol order, and row c of phi_table holds the prevalences
-    phi_0..phi_{max M} of cell c. The phi_table size, cells x (max M + 1)
-    entries, is checked against CELL_CAP before any array is allocated.
+    Cells: every multiplicity vector in the box prod_x {0..M_x}, in
+    row-major order (the last symbol varies fastest). A cell's probability
+    is the product of its per-symbol Poisson pmfs, multiplied in symbol
+    order, and row c of phi_table holds the prevalences phi_0..phi_{max M}
+    of cell c. The phi_table size, cells x (max M + 1) entries, is checked
+    against CELL_CAP before any array is allocated.
     """
     means = tuple(float(x) for x in means)
     m = len(means)
@@ -145,11 +148,16 @@ def build_instance(means) -> OracleInstance:
 
     lam = np.array(means)
     per_tol = TAIL_TOL / m
-    cutoffs = np.zeros(m, dtype=np.int64)
-    for _ in range(math.isqrt(CELL_CAP)):  # past it, cells * width > CELL_CAP
-        if not np.any(heavy := pdtrc(cutoffs, lam) >= per_tol):
-            break
-        cutoffs[heavy] += 1
+    last = math.isqrt(CELL_CAP)  # with M_x = last, cells * width > CELL_CAP
+    cutoffs = np.full(m, -1)
+    start, stop = 0, 32
+    while start <= last and np.any(pending := cutoffs < 0):
+        stop = min(stop, last + 1)
+        cleared = pdtrc(np.arange(start, stop), lam[:, None]) < per_tol
+        found = pending & cleared.any(axis=1)
+        cutoffs[found] = start + cleared.argmax(axis=1)[found]
+        start, stop = stop, 2 * stop
+    cutoffs[cutoffs < 0] = last
 
     max_counts = tuple(cutoffs.tolist())
     shape = tuple(M + 1 for M in max_counts)
@@ -163,12 +171,11 @@ def build_instance(means) -> OracleInstance:
     pmf = poisson_pmf(np.arange(width), lam[:, None])
     per_symbol = [pmf[j, :M] for j, M in enumerate(shape)]
     probs = reduce(np.multiply.outer, per_symbol).ravel()
-    tail_mass = 1.0 - math.fsum(probs)
+    tail_mass = 1.0 - math.fsum(probs.tolist())
 
-    phi_table = np.zeros((cells, width), dtype=np.int64)
-    rows = np.arange(cells)
-    for j in range(m):
-        phi_table[rows, counts[:, j]] += 1
+    entries = np.arange(0, cells * width, width)[:, None] + counts
+    phi_table = np.bincount(entries.ravel(), minlength=cells * width)
+    phi_table = phi_table.reshape(cells, width).astype(np.int64, copy=False)
 
     counts.flags.writeable = False
     probs.flags.writeable = False
@@ -343,7 +350,10 @@ def check_charpoly_integral(supports, u: float) -> Certificate:
     """
     if not 0.0 < u <= 1.0:
         raise ValueError("u must lie in (0, 1]")
-    values, masses = charpoly(supports)
+    return _charpoly_integral(*charpoly(supports), u)
+
+
+def _charpoly_integral(values, masses, u: float) -> Certificate:
     ex = math.fsum(values * masses)
     if ex <= 0:
         return _skip("charpoly_integral", "E[X] = 0")
@@ -358,7 +368,10 @@ def check_charpoly_integral(supports, u: float) -> Certificate:
 
 def check_inverse_falling_moments(supports, max_r: int = 3) -> Certificate:
     """E[prod_{j=1..r} (X + j)^{-1}] <= E[X]^{-r} for r = 1..max_r."""
-    values, masses = charpoly(supports)
+    return _inverse_falling_moments(*charpoly(supports), max_r)
+
+
+def _inverse_falling_moments(values, masses, max_r: int) -> Certificate:
     ex = math.fsum(values * masses)
     if ex <= 0:
         return _skip("inverse_falling_moments", "E[X] = 0")
@@ -617,8 +630,9 @@ def certification_campaign(
             masses = rng.dirichlet(np.ones(npts))
             supports.append(list(zip(values.tolist(), masses.tolist())))
         u = float(rng.uniform(0.05, 1.0))
-        certs.append(check_charpoly_integral(supports, u))
-        certs.append(check_inverse_falling_moments(supports))
+        law = charpoly(supports)  # shared by both checks
+        certs.append(_charpoly_integral(*law, u))
+        certs.append(_inverse_falling_moments(*law, max_r=3))
 
     for _ in range(moment):
         inst = build_instance(_random_means(rng))

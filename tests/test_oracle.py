@@ -80,16 +80,23 @@ def test_build_instance_validation(monkeypatch):
     # 3356 cells, but its phi_table is cells x cells: 1.13e7 entries (90 MB).
     # That cutoff, like those of 1e5 and up, lies beyond isqrt(CELL_CAP), so
     # the table is over the cap before the cutoff search ends; the search
-    # must stop there rather than step on towards the tail (about 1e9 steps
-    # for a mean of 1e9).
-    steps = []
-    monkeypatch.setattr(oracle, "pdtrc",
-                        lambda M, lam: steps.append(1) or pdtrc(M, lam))
+    # must stop there rather than go on towards the tail (about 1e9 values
+    # of M for a mean of 1e9), both in calls and in tail values evaluated.
+    calls, entries = [], []
+
+    def counted_pdtrc(M, lam):
+        calls.append(1)
+        entries.append(np.broadcast(M, lam).size)
+        return pdtrc(M, lam)
+
+    monkeypatch.setattr(oracle, "pdtrc", counted_pdtrc)
     for means in ([50.0] * 4, [3000.0], [1e5], [1e9], [1e300]):
-        steps.clear()
+        calls.clear()
+        entries.clear()
         with pytest.raises(ValueError, match="exceeds cap"):
             build_instance(means)
-        assert len(steps) <= math.isqrt(CELL_CAP)
+        assert len(calls) <= math.isqrt(CELL_CAP)
+        assert sum(entries) <= len(means) * (math.isqrt(CELL_CAP) + 1)
 
 
 def reference_instance(means):
@@ -124,6 +131,35 @@ def test_build_instance_matches_product_enumeration(means):
     assert inst.probs.tobytes() == probs.tobytes()
     phi = np.array([np.bincount(row, minlength=max(cutoffs) + 1) for row in counts])
     assert inst.phi_table.dtype == phi.dtype
+    np.testing.assert_array_equal(inst.phi_table, phi)
+    assert inst.tail_mass <= TAIL_TOL
+
+
+TINY_MEANS = st.sampled_from([1e-12, 1e-9])
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.one_of(
+    st.lists(st.floats(3.0, 300.0) | TINY_MEANS, min_size=1, max_size=2).filter(
+        lambda means: len(means) == 1 or min(means) < 1.0),
+    st.lists(st.floats(3.0, 40.0), min_size=2, max_size=2),
+))
+def test_build_instance_cutoffs_past_first_grid(means):
+    # means up to 300 take the cutoff search past its first grid of 32
+    # values, and tiny ones have M = 0; the reference steps M one at a time.
+    # Two means above 40 could put the instance over CELL_CAP.
+    inst = build_instance(means)
+    per_tol = TAIL_TOL / len(means)
+    cutoffs = []
+    for lam in means:
+        M = 0
+        while pdtrc(M, lam) >= per_tol:
+            M += 1
+        cutoffs.append(M)
+    assert inst.max_counts == tuple(cutoffs)
+    width = max(cutoffs) + 1
+    phi = np.array([np.bincount(row, minlength=width) for row in inst.counts])
+    assert inst.phi_table.dtype == phi.dtype == np.int64
     np.testing.assert_array_equal(inst.phi_table, phi)
     assert inst.tail_mass <= TAIL_TOL
 
@@ -478,10 +514,13 @@ def test_cauchy_schwarz_single_symbol_equality():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(
+pinned_versions = pytest.mark.skipif(
     np.__version__.split(".")[:2] != ["2", "4"]
     or scipy.__version__.split(".")[:2] != ["1", "17"],
-    reason="the campaign hash was recorded with numpy 2.4 and scipy 1.17")
+    reason="the campaign hashes were recorded with numpy 2.4 and scipy 1.17")
+
+
+@pinned_versions
 def test_campaign_certificates_are_pinned():
     # the verify ratios at campaign size 10; instance enumeration, the
     # checks and their slack are part of the output contract
@@ -491,6 +530,18 @@ def test_campaign_certificates_are_pinned():
     )
     assert hashlib.sha256(repr(certs).encode()).hexdigest() == (
         "509667bafe17841e9960dacc26691bb829c5d1de7f83532d682a2c282c4e4d90")
+
+
+@pinned_versions
+def test_verify_campaign_certificates_are_pinned():
+    # the default `supportsize verify` campaign: the verify ratios at size
+    # 100, about 700 instances
+    certs = certification_campaign(
+        seed=0, decoupling=100, charpoly_cases=200, moment=100, degree2=100,
+        conditional=100, regression=100,
+    )
+    assert hashlib.sha256(repr(certs).encode()).hexdigest() == (
+        "54e6a35b7da73d8d8812fef24b030b5c7c2735870bd1ee5cb0792e6ed65f8405")
 
 
 def test_campaign_rejects_negative_counts():
