@@ -15,7 +15,9 @@ excluded from the mean and reported in undefined_count, never imputed.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -249,35 +251,98 @@ def load_config(path) -> SweepConfig:
     return SweepConfig(**values)
 
 
-def ingest_counts(path) -> Fingerprint:
-    """Read a symbol,count CSV into a fingerprint (phi0 unknown)."""
+def _is_header(fields) -> bool:
+    return [f.strip().lower() for f in fields] == ["symbol", "count"]
+
+
+def _split_counts(text: str) -> list[int] | None:
+    """The counts of a counts file's text, split column-wise; None when the
+    text needs the per-row parse of _read_counts.
+
+    Without quotes or CRs (or NULs, which csv refuses before Python 3.11),
+    csv's default dialect cuts each line at every "," and nowhere else, and
+    skips blank lines. So the lines can be split as whole columns, with no
+    per-row Python. The text is handed over when any check fails: a line
+    without exactly one ",", a line longer in UTF-8 bytes than
+    csv.field_size_limit() (so no field can pass csv's limit), a wrong
+    header, a duplicate symbol, a non-integer count or one outside
+    [0, 2**63). This path then accepts exactly what _read_counts accepts,
+    with the same counts in the same order.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    header, _, body = text.partition("\n")
+    body = re.sub("\n\n+", "\n", body.strip("\n"))
+    lines = f"{header}\n{body}" if body else header
+    raw = np.frombuffer(f"{lines}\n".encode(), np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    separators = raw[(raw == ord(",")) | (raw == ord("\n"))].tobytes()
+    longest = np.diff(ends, prepend=-1).max() - 1
+    if separators != b",\n" * len(ends) or longest > csv.field_size_limit():
+        return None
+    fields = lines.replace("\n", ",").split(",")
+    symbols = fields[2::2]
+    if not _is_header(fields[:2]) or len(set(map(str.strip, symbols))) < len(symbols):
+        return None
+    try:
+        counts = list(map(int, fields[3::2]))
+    except ValueError:
+        return None
+    if counts and not (min(counts) >= 0 and max(counts) < 2**63):
+        return None
+    return counts
+
+
+def _read_counts(path, text: str) -> list[int]:
+    """The counts of a counts file's text, parsed row by row with csv's
+    default dialect. It is the one parser of quoted files and the one place
+    that words an error, with the physical line number of the bad row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     counts: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
         header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["symbol", "count"]:
+        if header is None or not _is_header(header):
             raise ValueError(f"{path}: expected header 'symbol,count'")
-        for lineno, row in enumerate(reader, 2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: malformed row {row!r}")
+                raise ValueError(f"{path}:{reader.line_num}: malformed row {row!r}")
             symbol, count_text = row[0].strip(), row[1].strip()
             if symbol in counts:
                 raise ValueError(
-                    f"{path}:{lineno}: duplicate symbol {symbol!r} "
+                    f"{path}:{reader.line_num}: duplicate symbol {symbol!r} "
                     "(multiplicity is ambiguous)"
                 )
             try:
                 count = int(count_text)
             except ValueError:
                 raise ValueError(
-                    f"{path}:{lineno}: count {count_text!r} is not an integer"
+                    f"{path}:{reader.line_num}: count {count_text!r} is not an integer"
                 ) from None
             if not 0 <= count < 2**63:  # MultiplicitySample holds int64
-                raise ValueError(f"{path}:{lineno}: count {count} outside [0, 2**63)")
+                raise ValueError(
+                    f"{path}:{reader.line_num}: count {count} outside [0, 2**63)")
             counts[symbol] = count
-    return fingerprint(MultiplicitySample(list(counts.values())))
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return list(counts.values())
+
+
+def ingest_counts(path) -> Fingerprint:
+    """Read a symbol,count CSV into a fingerprint (phi0 unknown).
+
+    The file is decoded as UTF-8, after a byte-order mark if it has one.
+    Plain files are split column-wise (_split_counts); quoted files, files
+    with CR line ends and files that fail a check are parsed row by row
+    (_read_counts), which raises the error.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        text = fh.read()
+    counts = _split_counts(text)
+    if counts is None:
+        counts = _read_counts(path, text)
+    return fingerprint(MultiplicitySample(counts))
 
 
 def estimate_from_counts(

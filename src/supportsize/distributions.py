@@ -47,7 +47,7 @@ class DiscreteDistribution:
             raise ValueError("probs must be a nonempty 1-D vector")
         if not np.all(probs > 0):
             raise ValueError("zero, negative or NaN probabilities are not allowed")
-        total = math.fsum(probs)
+        total = math.fsum(probs.tolist())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         if self.strict:
@@ -130,5 +130,5 @@ def make_distribution(
 
     if strict and family in ("zipf", "geometric"):
         weights = weights[: _truncated_support(weights, k)]
-    probs = weights / math.fsum(weights)
+    probs = weights / math.fsum(weights.tolist())
     return DiscreteDistribution(probs=probs, k=k, strict=strict, family=family)

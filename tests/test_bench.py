@@ -1,10 +1,11 @@
+import csv
 import hashlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -334,6 +335,12 @@ def test_ingest_counts(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text("symbol,count\na,1\n\nb,2\n")
     assert ingest_counts(path).phi == {1: 1, 2: 1}
+    # a spreadsheet export: UTF-8 with a byte-order mark before the header
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffsymbol,count\nä,1\nb,2\n".encode())
+    assert ingest_counts(path).phi == {1: 1, 2: 1}
+    # plain files, blank lines and all, are split column-wise
+    assert bench._split_counts("symbol,count\n\na,1\n\n\n b ,2") == [1, 2]
 
 
 def test_ingest_counts_errors(tmp_path):
@@ -349,6 +356,120 @@ def test_ingest_counts_errors(tmp_path):
     bad.write_text("sym,cnt\na,1\n")
     with pytest.raises(ValueError):
         ingest_counts(bad)
+    # errors name the physical line, past a quoted symbol spanning two
+    bad.write_text('symbol,count\n"a\nb",1\nc,x\n')
+    with pytest.raises(ValueError, match=r":4: count 'x' is not an integer"):
+        ingest_counts(bad)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("symbol,count\n{long},1\n", "a"),
+    ("symbol,count\na,1\nb,{long}\n", "7"),
+    ("symbol,{long}\na,1\n", "count"),
+    ('symbol,count\n"{long}",1\n', "a"),
+], ids=["symbol", "count", "header", "quoted"])
+def test_ingest_counts_field_limit(tmp_path, text, value):
+    # a field past csv.field_size_limit() is refused on its own line,
+    # whichever parse the file takes; a field at the limit is read
+    limit = csv.field_size_limit()
+    lineno = text[:text.index("{long}")].count("\n") + 1
+    path = tmp_path / "counts.csv"
+    path.write_text(text.format(long=value.rjust(limit + 1)))
+    with pytest.raises(ValueError,
+                       match=rf":{lineno}: field larger than field limit"):
+        ingest_counts(path)
+    path.write_text(text.format(long=value.rjust(limit)))
+    assert sum(ingest_counts(path).phi.values()) == text.count("\n") - 1
+
+
+_EDITS = ("pad", "quote", "quoted comma", "quoted newline", "blank line",
+          "1 field", "3 fields", "duplicate", "count", "header",
+          "long field", "control")
+
+
+@st.composite
+def counts_texts(draw):
+    """Counts-file texts: a plain file with up to three edits, each of which
+    may send it to the per-row parse or make it an error."""
+    header = ["symbol", "count"]
+    rows = [[f"s{j}", str(c)]
+            for j, c in enumerate(draw(st.lists(st.integers(0, 40),
+                                                max_size=6)))]
+    for edit in draw(st.lists(st.sampled_from(_EDITS), max_size=3)):
+        if not rows:
+            rows.append(["t", "1"])
+        row = draw(st.sampled_from(rows))
+        if edit == "pad":
+            j = draw(st.integers(0, max(len(row) - 1, 0)))
+            row[j:j + 1] = [f" {field}\t" for field in row[j:j + 1]]
+        elif edit == "quote":
+            row[:1] = [f'"{field}"' for field in row[:1]]
+        elif edit == "quoted comma":
+            row[:1] = [f'"{field},x"' for field in row[:1]]
+        elif edit == "quoted newline":
+            row[:1] = [f'"{field}\nx"' for field in row[:1]]
+        elif edit == "blank line":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif edit == "1 field":
+            del row[1:]
+        elif edit == "3 fields":
+            row.append(draw(st.sampled_from(["1", "x"])))
+        elif edit == "duplicate":
+            form = draw(st.sampled_from([" {}", '"{}"']))
+            row[:1] = [form.format(rows[0][0])] if rows[0] else []
+        elif edit == "count":
+            row[1:] = [draw(st.sampled_from(
+                ["x", "", "1.5", "-1", str(2**63), " 7 ", "1_0",
+                 str(2**63 - 1)]))]
+        elif edit == "header":
+            header = draw(st.sampled_from(
+                [[" Symbol ", "COUNT"], ["symbol"], ["sym", "cnt"], []]))
+        elif edit == "long field":
+            row[:1] = [field.rjust(draw(st.sampled_from([8, 9])))
+                       for field in row[:1]]
+        else:  # a CR or NUL inside a line
+            row[:1] = [field + draw(st.sampled_from(["\r", "\0"]))
+                       for field in row[:1]]
+    eol = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    return eol.join(lines) + eol * draw(st.booleans())
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+          max_examples=300, deadline=None)
+@given(counts_texts(), st.sampled_from([None, 8]), st.booleans())
+@example("symbol,count\na,1\n a,2\n", None, False)
+@example('symbol,count\na,1\n"a",2\n', None, False)
+@example("symbol,count\na\r,1\n", None, False)
+@example("symbol,count\na,1,2\n7\n", None, False)
+@example("symbol,count\na,-1\n", None, False)
+@example(f"symbol,count\na,{2**63}\n", None, False)
+@example("symbol,count\n  abcdefg,1\n", 8, False)
+def test_split_and_per_row_parses_agree(tmp_path, text, limit, bom):
+    # ingest_counts gives what the per-row parse gives on every text: the
+    # same fingerprint or the same error; and the column split accepts only
+    # what the per-row parse accepts, with the same counts in the same order
+    path = tmp_path / "counts.csv"
+    path.write_bytes(("\ufeff" * bom + text).encode())
+    old_limit = csv.field_size_limit()
+    try:
+        if limit:
+            csv.field_size_limit(limit)
+
+        def outcome(read):
+            try:
+                return read()
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(lambda: ingest_counts(path)) == outcome(
+            lambda: fingerprint(MultiplicitySample(
+                bench._read_counts(path, text))))
+        split = bench._split_counts(text)
+        if split is not None:
+            assert split == bench._read_counts(path, text)
+    finally:
+        csv.field_size_limit(old_limit)
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,6 +1,9 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
+import scipy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,7 +23,7 @@ from supportsize.bounds import (
     sigma_of,
     solve_alpha,
 )
-from supportsize.distributions import make_distribution
+from supportsize.distributions import FAMILIES, make_distribution
 from supportsize.poisson_model import exact_bias_expression, exact_plugin_mse
 
 
@@ -247,3 +250,22 @@ def test_bound_entry_points_validate_n_and_k(name):
             fn(n, k)
         assert not isinstance(err.value, BoundInapplicableError)
     assert fn(200.0, 10) is not None
+
+
+@pytest.mark.skipif(
+    np.__version__.split(".")[:2] != ["2", "4"]
+    or scipy.__version__.split(".")[:2] != ["1", "17"],
+    reason="the analysis hash was recorded with numpy 2.4 and scipy 1.17")
+def test_analysis_outputs_are_pinned():
+    # the zoo, every bound and the exact plug-in MSE on the analyze_counts
+    # grid, bit for bit: exactly rounded sums must stay exactly rounded
+    outputs = []
+    for family in FAMILIES:
+        for k in (10**3, 10**4, 10**5):
+            P = make_distribution(family, k)
+            outputs.append(P.probs.tobytes())
+            for ratio in (0.5, 1.0, 2.0, 4.0):
+                n = ratio * k
+                outputs.append((bound_report(n, k, P), exact_plugin_mse(P, n)))
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == (
+        "52d9e7df80a8bf3bfecbdaf684d2ed0e299044147d36ca18294d448a3f8a7d11")

@@ -136,6 +136,16 @@ def test_usage_error_exit_code(capsys):
     assert err.value.code == 1
 
 
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    """A directory of input files to refuse, outside the working directory."""
+    root = tmp_path_factory.mktemp("inputs")
+    # a symbol one character longer than csv's field limit
+    (root / "long-field.csv").write_text(
+        "symbol,count\n" + "x" * (csv.field_size_limit() + 1) + ",1\n")
+    return root
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "--n", "-5", "--k", "10"),
     ("bounds", "--n", "nan", "--k", "10"),
@@ -150,14 +160,16 @@ def test_usage_error_exit_code(capsys):
     ("dist", "dump", "--family", "uniform", "--k", "1"),
     ("dist", "dump", "--family", "two_mixture", "--k", "7"),
     ("estimate", "--counts", "missing-counts.csv"),
+    ("estimate", "--counts", "{inputs}/long-field.csv"),
     ("verify", "--campaign-size", "-1"),
     ("verify", "--campaign-size", "0"),
 ], ids=lambda argv: " ".join(argv))
-def test_bad_input_is_one_error_line(argv, tmp_path, monkeypatch, capsys):
+def test_bad_input_is_one_error_line(argv, bad_inputs, tmp_path, monkeypatch,
+                                     capsys):
     # bad input exits 1 with a single "error:" line, never a traceback;
     # exit 2 stays reserved for falsified certificates
     monkeypatch.chdir(tmp_path)
-    code = main(list(argv))
+    code = main([a.format(inputs=bad_inputs) for a in argv])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
