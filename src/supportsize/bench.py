@@ -15,7 +15,6 @@ excluded from the mean and reported in undefined_count, never imputed.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -259,28 +258,34 @@ def _split_counts(text: str) -> list[int] | None:
     """The counts of a counts file's text, split column-wise; None when the
     text needs the per-row parse of _read_counts.
 
-    Without quotes or CRs (or NULs, which csv refuses before Python 3.11),
-    csv's default dialect cuts each line at every "," and nowhere else, and
-    skips blank lines. So the lines can be split as whole columns, with no
-    per-row Python. The text is handed over when any check fails: a line
-    without exactly one ",", a line longer in UTF-8 bytes than
-    csv.field_size_limit() (so no field can pass csv's limit), a wrong
-    header, a duplicate symbol, a non-integer count or one outside
-    [0, 2**63). This path then accepts exactly what _read_counts accepts,
-    with the same counts in the same order.
+    Without quotes (or NULs, which csv refuses before Python 3.11), csv's
+    default dialect ends a line at "\r\n", "\r" or "\n", cuts it at every
+    "," and nowhere else, and skips blank lines. So once line ends are made
+    "\n", the lines can be split as whole columns, with no per-row Python.
+    The text is handed over when any check fails: a line without exactly
+    one ",", a field longer than csv.field_size_limit(), a wrong header, a
+    duplicate symbol, a non-integer count or one outside [0, 2**63). This
+    path then accepts exactly what _read_counts accepts, with the same
+    counts in the same order.
     """
-    if '"' in text or "\r" in text or "\0" in text:
+    if '"' in text or "\0" in text:
         return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     header, _, body = text.partition("\n")
     body = re.sub("\n\n+", "\n", body.strip("\n"))
     lines = f"{header}\n{body}" if body else header
     raw = np.frombuffer(f"{lines}\n".encode(), np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
-    separators = raw[(raw == ord(",")) | (raw == ord("\n"))].tobytes()
-    longest = np.diff(ends, prepend=-1).max() - 1
-    if separators != b",\n" * len(ends) or longest > csv.field_size_limit():
+    cuts = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
+    if raw[cuts].tobytes() != b",\n" * (len(cuts) // 2):
         return None
     fields = lines.replace("\n", ",").split(",")
+    # A field's UTF-8 bytes bound its characters, which csv's limit counts;
+    # only a file with a field past the limit in bytes counts characters.
+    limit = csv.field_size_limit()
+    if (np.diff(cuts, prepend=-1).max() - 1 > limit
+            and max(map(len, fields)) > limit):
+        return None
     symbols = fields[2::2]
     if not _is_header(fields[:2]) or len(set(map(str.strip, symbols))) < len(symbols):
         return None
@@ -293,11 +298,12 @@ def _split_counts(text: str) -> list[int] | None:
     return counts
 
 
-def _read_counts(path, text: str) -> list[int]:
-    """The counts of a counts file's text, parsed row by row with csv's
-    default dialect. It is the one parser of quoted files and the one place
-    that words an error, with the physical line number of the bad row."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _read_counts(path, lines) -> list[int]:
+    """The counts of a counts file, parsed row by row with csv's default
+    dialect from its lines (a file opened with newline=""). It is the one
+    parser of quoted files and the one place that words an error, with the
+    physical line number of the bad row."""
+    reader = csv.reader(lines)
     counts: dict[str, int] = {}
     try:
         header = next(reader, None)
@@ -333,15 +339,15 @@ def ingest_counts(path) -> Fingerprint:
     """Read a symbol,count CSV into a fingerprint (phi0 unknown).
 
     The file is decoded as UTF-8, after a byte-order mark if it has one.
-    Plain files are split column-wise (_split_counts); quoted files, files
-    with CR line ends and files that fail a check are parsed row by row
-    (_read_counts), which raises the error.
+    Unquoted files, with LF, CRLF or CR line ends, are split column-wise
+    (_split_counts); quoted files and files that fail a check are read
+    again and parsed row by row (_read_counts), which raises the error.
     """
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        text = fh.read()
-    counts = _split_counts(text)
-    if counts is None:
-        counts = _read_counts(path, text)
+        counts = _split_counts(fh.read())
+        if counts is None:
+            fh.seek(0)
+            counts = _read_counts(path, fh)
     return fingerprint(MultiplicitySample(counts))
 
 

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import math
 import tracemalloc
 
@@ -339,8 +340,15 @@ def test_ingest_counts(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes("\ufeffsymbol,count\nä,1\nb,2\n".encode())
     assert ingest_counts(path).phi == {1: 1, 2: 1}
-    # plain files, blank lines and all, are split column-wise
+    # unquoted files, blank lines and all, are split column-wise, with LF,
+    # CRLF or CR line ends
     assert bench._split_counts("symbol,count\n\na,1\n\n\n b ,2") == [1, 2]
+    assert bench._split_counts("symbol,count\r\na,1\r\n\r\nb,2\r\n") == [1, 2]
+    assert bench._split_counts("symbol,count\ra,1\r\rb,2") == [1, 2]
+    # csv's field limit counts characters, not UTF-8 bytes
+    limit = csv.field_size_limit()
+    assert bench._split_counts(f"symbol,count\n{'ä' * limit},1\n") == [1]
+    assert bench._split_counts(f"symbol,count\n{'ä' * (limit + 1)},1\n") is None
 
 
 def test_ingest_counts_errors(tmp_path):
@@ -425,7 +433,8 @@ def counts_texts(draw):
             header = draw(st.sampled_from(
                 [[" Symbol ", "COUNT"], ["symbol"], ["sym", "cnt"], []]))
         elif edit == "long field":
-            row[:1] = [field.rjust(draw(st.sampled_from([8, 9])))
+            row[:1] = [field.rjust(draw(st.sampled_from([8, 9])),
+                                   draw(st.sampled_from(" ä")))
                        for field in row[:1]]
         else:  # a CR or NUL inside a line
             row[:1] = [field + draw(st.sampled_from(["\r", "\0"]))
@@ -464,10 +473,11 @@ def test_split_and_per_row_parses_agree(tmp_path, text, limit, bom):
 
         assert outcome(lambda: ingest_counts(path)) == outcome(
             lambda: fingerprint(MultiplicitySample(
-                bench._read_counts(path, text))))
+                bench._read_counts(path, io.StringIO(text, newline="")))))
         split = bench._split_counts(text)
         if split is not None:
-            assert split == bench._read_counts(path, text)
+            assert split == bench._read_counts(
+                path, io.StringIO(text, newline=""))
     finally:
         csv.field_size_limit(old_limit)
 
