@@ -342,12 +342,21 @@ def ingest_counts(path) -> Fingerprint:
     Unquoted files, with LF, CRLF or CR line ends, are split column-wise
     (_split_counts); quoted files and files that fail a check are read
     again and parsed row by row (_read_counts), which raises the error.
+    A file that is not UTF-8 is refused with the line of its first bad byte.
     """
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        counts = _split_counts(fh.read())
-        if counts is None:
-            fh.seek(0)
-            counts = _read_counts(path, fh)
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            counts = _split_counts(fh.read())
+            if counts is None:
+                fh.seek(0)
+                counts = _read_counts(path, fh)
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file after any byte-order mark in one
+        # call, so exc.object holds every byte before the bad one
+        head = exc.object[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(
+            f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
     return fingerprint(MultiplicitySample(counts))
 
 

@@ -21,7 +21,6 @@ from dataclasses import fields, replace
 
 from . import bench, bounds, oracle
 from .distributions import FAMILIES, make_distribution
-from .estimators import UndefinedEstimateError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,7 +178,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, UndefinedEstimateError) as exc:
+    # ArithmeticError covers UndefinedEstimateError and finite input whose
+    # bounds overflow or underflow; MemoryError, a zoo too large to build
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -73,11 +73,10 @@ def unseen_estimates(
 
     plugin: 0. chao: phi_1^2 / (2 phi_2), NaN where phi_2 = 0.
     modified_chao: phi_1^2 / (2 (phi_2 + 1)). chebyshev (needs k and n):
-    max(seen + sum_{i<=L} (g_i - 1) phi_i, 0) - seen with an exactly rounded
-    sum, so the support estimate seen + unseen is the linear estimator
-    sum_i g_i phi_i (g_i = 1 beyond L) clamped at zero: the coefficients
-    alternate in sign, so unlucky fingerprints can otherwise dip below any
-    attainable support.
+    max(sum_{i<=L} (g_i - 1) phi_i, -seen), so seen + unseen is the linear
+    estimator sum_i g_i phi_i (g_i = 1 beyond L) clamped at zero, as its
+    alternating coefficients can dip below any attainable support. Each row
+    is summed alone; BLAS (a matrix product) rounds a row by batch shape.
     """
     occupancy = np.asarray(occupancy, dtype=np.int64)
     if occupancy.ndim != 2 or occupancy.shape[1] < 3:
@@ -103,10 +102,8 @@ def unseen_estimates(
                 f"chebyshev reads phi_1..phi_{len(g)}; occupancy has only "
                 f"{occupancy.shape[1]} columns"
             )
-        terms = (g - 1.0) * occupancy[:, 1 : len(g) + 1]
-        correction = np.array([math.fsum(row) for row in terms.tolist()])
-        seen = np.asarray(seen, dtype=float)
-        return np.maximum(seen + correction, 0.0) - seen
+        correction = ((g - 1.0) * occupancy[:, 1 : len(g) + 1]).sum(axis=1)
+        return np.maximum(correction, -np.asarray(seen, dtype=float))
     raise ValueError(f"unknown unseen estimator {estimator_id!r}")
 
 

@@ -24,7 +24,7 @@ from scipy.special import pdtrc, stirling2
 
 from .bounds import check_unit_interval, sigma_of
 from .distributions import FAMILIES, DiscreteDistribution, make_distribution
-from .poisson_model import expected_prevalence, poisson_pmf, prevalence_second_moment
+from .poisson_model import expected_prevalence, poisson_pmf
 
 MAX_SYMBOLS = 4
 #: Bound on the probability mass left out of an instance's enumeration.
@@ -498,7 +498,7 @@ def check_cauchy_schwarz(P: DiscreteDistribution, n: float) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Function whitelist helpers
+# Functions f for the decoupling and domination checks
 # ---------------------------------------------------------------------------
 
 
@@ -521,17 +521,6 @@ def f_exp_neg(x):
 
 def f_neg_identity(x):
     return -np.asarray(x, dtype=float)
-
-
-#: non-increasing functions paired, when known, with a dominating
-#: falling-factorial series.
-WHITELIST = {
-    "1/(1+x)": (f_inv, (0.0, 1.0)),
-    "1/(1+x)^2": (f_inv_sq, (0.0, 0.0, 1.0, 3.0)),
-    "1/((1+x)(2+x))": (f_inv_falling2, (0.0, 0.0, 1.0)),
-    "exp(-x)": (f_exp_neg, None),
-    "-x": (f_neg_identity, None),
-}
 
 
 def _assert_non_increasing(f, xs: np.ndarray):
@@ -596,13 +585,13 @@ def certification_campaign(
     rng = np.random.default_rng(seed)
     certs: list[Certificate] = []
 
-    monotone = ["1/(1+x)", "exp(-x)", "1/(1+x)^2"]
+    monotone = (f_inv, f_exp_neg, f_inv_sq)
     for _ in range(decoupling):
         inst = build_instance(_random_means(rng))
         d = int(rng.integers(1, 4))
         poly = _random_poly(rng, d)
         lin = _random_linear(rng)
-        f, _ = WHITELIST[monotone[int(rng.integers(len(monotone)))]]
+        f = monotone[int(rng.integers(len(monotone)))]
         certs.append(check_decoupling_lower(inst, poly, lin, f))
 
     for _ in range(decoupling):
@@ -612,13 +601,14 @@ def certification_campaign(
         lin = LinearFunctional(coeffs=(1.0, float(rng.uniform(0, 0.3))))
         certs.append(check_decoupling_upper_concave(inst, poly, lin, f_neg_identity))
 
-    dominated = ["1/(1+x)", "1/(1+x)^2", "1/((1+x)(2+x))"]
+    # non-increasing functions with a dominating falling-factorial series
+    dominated = ((f_inv, (0.0, 1.0)), (f_inv_sq, (0.0, 0.0, 1.0, 3.0)),
+                 (f_inv_falling2, (0.0, 0.0, 1.0)))
     for _ in range(decoupling):
         inst = build_instance(_random_means(rng, mean_range=(0.2, 1.0)))
         poly = _random_poly(rng, degree=1)
         lin = LinearFunctional(coeffs=(1.0,))
-        name = dominated[int(rng.integers(len(dominated)))]
-        f, fprime = WHITELIST[name]
+        f, fprime = dominated[int(rng.integers(len(dominated)))]
         certs.append(check_domination_upper(inst, poly, lin, f, fprime))
 
     for _ in range(charpoly_cases):

@@ -241,7 +241,13 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
                           estimators=ESTIMATOR_IDS, trials=50, master_seed=5,
                           output_path=str(out)))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "9f66b9fb6dc558c6fd2abc357ab26540496469c73c79cf46caca00216c4e3f16")
+        "64b93ce49c3a9ca88934e36997164269a10c224b075d16e6d67daa5b8d1786f7")
+    # k = 60 gives the Chebyshev degree L = 1, a one-term sum that never
+    # rounds; at k = 1000, L = 3, so this pin also sees how the kernel sums
+    run_sweep(SweepConfig(k=1000, n_grid=(2000.0,), estimators=ESTIMATOR_IDS,
+                          trials=64, master_seed=0, output_path=str(out)))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f90b40e6bab2cee0ee7a632a1c6579ee9a93004813bd1e02c3bf2dea8f893cf5")
 
 
 def test_run_sweep_row_count_and_csv(tmp_path):
@@ -367,6 +373,14 @@ def test_ingest_counts_errors(tmp_path):
     # errors name the physical line, past a quoted symbol spanning two
     bad.write_text('symbol,count\n"a\nb",1\nc,x\n')
     with pytest.raises(ValueError, match=r":4: count 'x' is not an integer"):
+        ingest_counts(bad)
+    # a byte that is not UTF-8 is named by its line in the file, after a
+    # byte-order mark and far into the file too
+    bad.write_bytes(b"\xef\xbb\xbfsymbol,count\r\ncaf\xe9,1\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:2: not valid UTF-8 "):
+        ingest_counts(bad)
+    bad.write_bytes(b"symbol,count\n" + b"abc,1\n" * 5000 + b"caf\xe9,1\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:5002: not valid UTF-8 "):
         ingest_counts(bad)
 
 

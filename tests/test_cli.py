@@ -150,6 +150,12 @@ def bad_inputs(tmp_path_factory):
     ("bounds", "--n", "-5", "--k", "10"),
     ("bounds", "--n", "nan", "--k", "10"),
     ("bounds", "--n", "200", "--k", "1"),
+    # finite input past float range: (1 + n/k)^4 overflows, n^2 underflows
+    # to 0, k^4 overflows, and the allocator refuses a 10^11-symbol zoo
+    ("bounds", "--n", "1e80", "--k", "1000"),
+    ("bounds", "--n", "1e-170", "--k", "1000"),
+    ("bounds", "--n", "2000", "--k", str(10**90)),
+    ("dist", "dump", "--family", "uniform", "--k", "100000000000"),
     ("sweep", "--trials", "0"),
     ("sweep", "--workers", "0", "--k", "30", "--trials", "5"),
     ("sweep", "--n-grid", "-3", "--trials", "5"),

@@ -26,6 +26,18 @@ ks = st.integers(2, 10**6)
 ratios = st.floats(0.05, 8.0)
 
 
+def sweep_batch(rows, width, seed):
+    """rows seeded fingerprints with counts 0..499 on phi_1..phi_width."""
+    counts = np.random.default_rng(seed).integers(0, 500, size=(rows, width))
+    return [Fingerprint(phi=dict(enumerate(row.tolist(), 1))) for row in counts]
+
+
+# sweep scale: counts in the hundreds on the columns the Chebyshev sum reads,
+# where float row sums round, in batches of 64 rows and more
+sweep_batches = st.builds(sweep_batch, st.integers(64, 80), st.integers(1, 12),
+                          st.integers(0, 2**32 - 1))
+
+
 def batch_arrays(fps, k):
     """Truncated occupancy matrix and seen counts of a list of fingerprints."""
     width = occupancy_width(k)
@@ -39,7 +51,12 @@ def batch_arrays(fps, k):
 
 
 @settings(deadline=None)
-@given(batches, ks, ratios)
+@given(st.one_of(batches, sweep_batches), ks, ratios)
+# L = 3, 5 and 8 at n = 2k; a matrix product rounds some of these rows
+# differently in a batch than alone
+@example(sweep_batch(64, 5, 0), 10**3, 2.0)
+@example(sweep_batch(64, 7, 0), 10**5, 2.0)
+@example(sweep_batch(64, 10, 0), 10**8, 2.0)
 def test_batched_call_equals_one_row_calls(fps, k, ratio):
     n = ratio * k
     occupancy, seen = batch_arrays(fps, k)
