@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,6 +62,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         for key in ("families", "n_grid", "estimators"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must be nonempty")
@@ -175,6 +176,8 @@ def monte_carlo_mse(
     the matching run_sweep row, which scores every estimator on one shared
     draw of the cell.
     """
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
     occupancy = _draw_cell(P, n, trials, master_seed, occupancy_width(P.k))
     return _score(P, n, estimator_id, occupancy)
 
@@ -258,34 +261,27 @@ def _split_counts(text: str) -> list[int] | None:
     """The counts of a counts file's text, split column-wise; None when the
     text needs the per-row parse of _read_counts.
 
-    Without quotes (or NULs, which csv refuses before Python 3.11), csv's
-    default dialect ends a line at "\r\n", "\r" or "\n", cuts it at every
-    "," and nowhere else, and skips blank lines. So once line ends are made
-    "\n", the lines can be split as whole columns, with no per-row Python.
-    The text is handed over when any check fails: a line without exactly
-    one ",", a field longer than csv.field_size_limit(), a wrong header, a
-    duplicate symbol, a non-integer count or one outside [0, 2**63). This
-    path then accepts exactly what _read_counts accepts, with the same
-    counts in the same order.
+    Text with a quote, a NUL (which csv refuses before Python 3.11) or a CR
+    is handed over whole. Otherwise csv's default dialect ends a line only
+    at "\n" and cuts it at every "," and nowhere else, so the lines can be
+    split as whole columns, with no per-row Python. The text is also handed
+    over when any check fails: a line without exactly one "," (a blank line
+    included), a field longer than csv.field_size_limit() in UTF-8 bytes, a
+    wrong header, a duplicate symbol, a non-integer count or one outside
+    [0, 2**63). This path then accepts only what _read_counts accepts, with
+    the same counts in the same order.
     """
-    if '"' in text or "\0" in text:
+    if '"' in text or "\0" in text or "\r" in text:
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    header, _, body = text.partition("\n")
-    body = re.sub("\n\n+", "\n", body.strip("\n"))
-    lines = f"{header}\n{body}" if body else header
+    lines = text.rstrip("\n")
     raw = np.frombuffer(f"{lines}\n".encode(), np.uint8)
     cuts = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     if raw[cuts].tobytes() != b",\n" * (len(cuts) // 2):
         return None
-    fields = lines.replace("\n", ",").split(",")
-    # A field's UTF-8 bytes bound its characters, which csv's limit counts;
-    # only a file with a field past the limit in bytes counts characters.
-    limit = csv.field_size_limit()
-    if (np.diff(cuts, prepend=-1).max() - 1 > limit
-            and max(map(len, fields)) > limit):
+    # a field's UTF-8 bytes bound its characters, which csv's limit counts
+    if np.diff(cuts, prepend=-1).max() - 1 > csv.field_size_limit():
         return None
+    fields = lines.replace("\n", ",").split(",")
     symbols = fields[2::2]
     if not _is_header(fields[:2]) or len(set(map(str.strip, symbols))) < len(symbols):
         return None
@@ -339,9 +335,9 @@ def ingest_counts(path) -> Fingerprint:
     """Read a symbol,count CSV into a fingerprint (phi0 unknown).
 
     The file is decoded as UTF-8, after a byte-order mark if it has one.
-    Unquoted files, with LF, CRLF or CR line ends, are split column-wise
-    (_split_counts); quoted files and files that fail a check are read
-    again and parsed row by row (_read_counts), which raises the error.
+    Unquoted LF-ended files are split column-wise (_split_counts); quoted
+    files, files with a CR or a blank line, and files that fail a check are
+    read again and parsed row by row (_read_counts), which raises the error.
     A file that is not UTF-8 is refused with the line of its first bad byte.
     """
     try:

@@ -93,7 +93,12 @@ def _cmd_dist_dump(args) -> int:
 
 def _cmd_bounds(args) -> int:
     P = make_distribution(args.family, args.k) if args.family else None
-    report = bounds.bound_report(args.n, args.k, P)
+    try:
+        report = bounds.bound_report(args.n, args.k, P)
+    except ArithmeticError as exc:
+        # k in full: format(k, "g") overflows on a k past float range
+        raise ArithmeticError(f"bounds at n={args.n:g}, k={args.k} leave "
+                              f"float range ({exc})") from None
     names = [f.name for f in fields(report) if f.name not in ("n", "k")]
     if args.csv:
         writer = csv.writer(sys.stdout)

@@ -127,10 +127,10 @@ def build_instance(means) -> OracleInstance:
     Cutoff rule: symbol x keeps the counts 0..M_x, where M_x is the smallest
     M whose Poisson upper tail P(N_x > M) = pdtrc(M, lambda_x) is below
     TAIL_TOL / m, so the un-enumerated mass is below TAIL_TOL overall. One
-    pdtrc call evaluates the tails on M = 0..31, and each cutoff is the first
-    M whose tail clears; while a tail is still too heavy the grid doubles,
-    evaluating only its new columns. A symbol not cleared by M =
-    isqrt(CELL_CAP) takes that cutoff, which puts phi_table over the cap.
+    pdtrc call evaluates the tails on M = 0..31; only if some tail is still
+    too heavy there, a second call covers M = 32..isqrt(CELL_CAP). A symbol
+    not cleared by M = isqrt(CELL_CAP) takes that cutoff, which puts
+    phi_table over the cap.
 
     Cells: every multiplicity vector in the box prod_x {0..M_x}, in
     row-major order (the last symbol varies fastest). A cell's probability
@@ -146,18 +146,13 @@ def build_instance(means) -> OracleInstance:
     if not all(0 < lam < math.inf for lam in means):
         raise ValueError("all means must be positive and finite")
 
-    lam = np.array(means)
+    lam = np.array(means)[:, None]
     per_tol = TAIL_TOL / m
     last = math.isqrt(CELL_CAP)  # with M_x = last, cells * width > CELL_CAP
-    cutoffs = np.full(m, -1)
-    start, stop = 0, 32
-    while start <= last and np.any(pending := cutoffs < 0):
-        stop = min(stop, last + 1)
-        cleared = pdtrc(np.arange(start, stop), lam[:, None]) < per_tol
-        found = pending & cleared.any(axis=1)
-        cutoffs[found] = start + cleared.argmax(axis=1)[found]
-        start, stop = stop, 2 * stop
-    cutoffs[cutoffs < 0] = last
+    cleared = pdtrc(np.arange(32), lam) < per_tol
+    if not cleared.any(axis=1).all():
+        cleared = np.hstack([cleared, pdtrc(np.arange(32, last + 1), lam) < per_tol])
+    cutoffs = np.where(cleared.any(axis=1), cleared.argmax(axis=1), last)
 
     max_counts = tuple(cutoffs.tolist())
     shape = tuple(M + 1 for M in max_counts)
@@ -168,7 +163,7 @@ def build_instance(means) -> OracleInstance:
                          f"columns exceeds cap {CELL_CAP}")
 
     counts = np.indices(shape).reshape(m, cells).T
-    pmf = poisson_pmf(np.arange(width), lam[:, None])
+    pmf = poisson_pmf(np.arange(width), lam)
     per_symbol = [pmf[j, :M] for j, M in enumerate(shape)]
     probs = reduce(np.multiply.outer, per_symbol).ravel()
     tail_mass = 1.0 - math.fsum(probs.tolist())
@@ -582,6 +577,8 @@ def certification_campaign(
     """
     if min(decoupling, charpoly_cases, moment, degree2, conditional, regression) < 0:
         raise ValueError("per-check counts must be >= 0")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     certs: list[Certificate] = []
 

@@ -346,14 +346,17 @@ def test_ingest_counts(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes("\ufeffsymbol,count\nä,1\nb,2\n".encode())
     assert ingest_counts(path).phi == {1: 1, 2: 1}
-    # unquoted files, blank lines and all, are split column-wise, with LF,
-    # CRLF or CR line ends
-    assert bench._split_counts("symbol,count\n\na,1\n\n\n b ,2") == [1, 2]
-    assert bench._split_counts("symbol,count\r\na,1\r\n\r\nb,2\r\n") == [1, 2]
-    assert bench._split_counts("symbol,count\ra,1\r\rb,2") == [1, 2]
-    # csv's field limit counts characters, not UTF-8 bytes
+    # blank lines, CRLF or CR line ends and a field within csv's limit in
+    # characters but past it in UTF-8 bytes take the per-row parse, which
+    # reads them
     limit = csv.field_size_limit()
-    assert bench._split_counts(f"symbol,count\n{'ä' * limit},1\n") == [1]
+    for text, phi in [("symbol,count\n\na,1\n\n\n b ,2", {1: 1, 2: 1}),
+                      ("symbol,count\r\na,1\r\n\r\nb,2\r\n", {1: 1, 2: 1}),
+                      ("symbol,count\ra,1\r\rb,2", {1: 1, 2: 1}),
+                      (f"symbol,count\n{'ä' * limit},1\n", {1: 1})]:
+        assert bench._split_counts(text) is None
+        path.write_bytes(text.encode())
+        assert ingest_counts(path).phi == phi
     assert bench._split_counts(f"symbol,count\n{'ä' * (limit + 1)},1\n") is None
 
 

@@ -22,6 +22,7 @@ from supportsize.oracle import (
     LinearFunctional,
     PolyFunctional,
     build_instance,
+    certification_campaign,
     charpoly,
     check_charpoly_integral,
     check_decoupling_lower,
@@ -83,6 +84,12 @@ CASES = {
     "monte_carlo_mse trials=0":
         lambda: monte_carlo_mse(make_distribution("uniform", 10), 10.0,
                                 "plugin", trials=0, master_seed=0),
+    "monte_carlo_mse master_seed=-1":
+        lambda: monte_carlo_mse(make_distribution("uniform", 10), 10.0,
+                                "plugin", trials=1, master_seed=-1),
+    "SweepConfig master_seed=-1": lambda: SweepConfig(master_seed=-1),
+    "certification_campaign seed=-1":
+        lambda: certification_campaign(seed=-1),
     "DiscreteDistribution k=0":
         lambda: DiscreteDistribution(np.array([1.0]), k=0),
     "DiscreteDistribution empty probs":

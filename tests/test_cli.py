@@ -146,15 +146,22 @@ def bad_inputs(tmp_path_factory):
     return root
 
 
+# finite input past float range: (1 + n/k)^4 overflows, n^2 underflows to
+# 0, and k^4 overflows, as does k itself
+BOUNDS_PAST_FLOAT_RANGE = [
+    ("bounds", "--n", "1e80", "--k", "1000"),
+    ("bounds", "--n", "1e-170", "--k", "1000"),
+    ("bounds", "--n", "2000", "--k", str(10**90)),
+    ("bounds", "--n", "2000", "--k", str(10**399)),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "--n", "-5", "--k", "10"),
     ("bounds", "--n", "nan", "--k", "10"),
     ("bounds", "--n", "200", "--k", "1"),
-    # finite input past float range: (1 + n/k)^4 overflows, n^2 underflows
-    # to 0, k^4 overflows, and the allocator refuses a 10^11-symbol zoo
-    ("bounds", "--n", "1e80", "--k", "1000"),
-    ("bounds", "--n", "1e-170", "--k", "1000"),
-    ("bounds", "--n", "2000", "--k", str(10**90)),
+    *BOUNDS_PAST_FLOAT_RANGE,
+    # the allocator refuses a 10^11-symbol zoo
     ("dist", "dump", "--family", "uniform", "--k", "100000000000"),
     ("sweep", "--trials", "0"),
     ("sweep", "--workers", "0", "--k", "30", "--trials", "5"),
@@ -169,6 +176,8 @@ def bad_inputs(tmp_path_factory):
     ("estimate", "--counts", "{inputs}/long-field.csv"),
     ("verify", "--campaign-size", "-1"),
     ("verify", "--campaign-size", "0"),
+    ("sweep", "--master-seed", "-1"),
+    ("verify", "--seed", "-1"),
 ], ids=lambda argv: " ".join(argv))
 def test_bad_input_is_one_error_line(argv, bad_inputs, tmp_path, monkeypatch,
                                      capsys):
@@ -182,6 +191,20 @@ def test_bad_input_is_one_error_line(argv, bad_inputs, tmp_path, monkeypatch,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, text", [
+    # n as the report prints it, k in full
+    *((argv, f"n={float(argv[2]):g}, k={argv[4]} ")
+      for argv in BOUNDS_PAST_FLOAT_RANGE),
+    (("sweep", "--master-seed", "-1"), "master_seed must be >= 0, got -1"),
+    (("verify", "--seed", "-1"), "seed must be >= 0, got -1"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
+def test_error_names_the_input(argv, text, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert text in line
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,8 +1,11 @@
-"""The package's export list, and the library surface perfbench/ reads."""
+"""The package's export list and version, and the library surface perfbench/
+reads."""
 
 import inspect
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import supportsize
 from supportsize import bench, bounds, distributions, estimators, oracle, poisson_model
@@ -30,6 +33,14 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(supportsize, name)]
     assert missing == []
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert supportsize.__version__ == version
 
 
 def test_perfbench_surface(tmp_path):

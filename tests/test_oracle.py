@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import pdtrc
@@ -144,10 +144,13 @@ TINY_MEANS = st.sampled_from([1e-12, 1e-9])
         lambda means: len(means) == 1 or min(means) < 1.0),
     st.lists(st.floats(3.0, 40.0), min_size=2, max_size=2),
 ))
+@example([2000.0])
 def test_build_instance_cutoffs_past_first_grid(means):
     # means up to 300 take the cutoff search past its first grid of 32
     # values, and tiny ones have M = 0; the reference steps M one at a time.
-    # Two means above 40 could put the instance over CELL_CAP.
+    # Two means above 40 could put the instance over CELL_CAP. A mean of
+    # 2000 has M = 2291, near the top of the second grid at isqrt(CELL_CAP),
+    # and 5.3e6 table entries, under the cap.
     inst = build_instance(means)
     per_tol = TAIL_TOL / len(means)
     cutoffs = []
