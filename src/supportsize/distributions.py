@@ -6,7 +6,8 @@ entries are at least ``1/k`` ("strict" mode), which caps the support size at
 strict mode their support is truncated to the largest prefix whose
 renormalized minimum probability still clears the ``1/k`` floor. Lenient mode
 skips the floor and keeps all k symbols.
-check_k is the package's one check of a support bound k >= 2.
+check_k is the package's one check of a support bound k >= 2, and exact_sum
+the package's exactly rounded sum of a float array.
 """
 
 from __future__ import annotations
@@ -20,6 +21,49 @@ FAMILIES = ("uniform", "zipf", "geometric", "two_mixture")
 
 _SUM_TOL = 1e-12
 _FLOOR_TOL = 1e-12
+# exact_sum hands arrays of at most _FSUM_MAX_TERMS terms to math.fsum, whose
+# cost per term is below the kernel's fixed cost there, and arrays of more
+# than _BIN_MAX_TERMS, past which a per-exponent bin is no longer exact.
+_FSUM_MAX_TERMS = 1000
+_BIN_MAX_TERMS = 2**26
+
+
+def exact_sum(x: np.ndarray) -> float:
+    """Exactly rounded sum of a 1-D float64 array: the float that
+    math.fsum(x.tolist()) returns, without a Python float per term.
+
+    Each finite term is mant * 2**e (np.frexp, 1/2 <= |mant| < 1), and
+    mant * 2**27 splits exactly into hi = floor(mant * 2**27), an integer
+    with |hi| <= 2**27, and lo, a multiple of 2**-26 in [0, 1). Summed per
+    exponent by np.bincount, each partial sum of hi is an integer and each
+    of lo a multiple of 2**-26, below 2**53 times its unit for up to 2**26
+    terms, so every bin is exact. Scaled by 2**(e - 27) a bin is still an
+    exact float, subnormals included, and fsum of these at most two parts
+    per exponent is the exactly rounded total. Arrays of at most 1000 or
+    more than 2**26 terms, terms large enough to overflow an intermediate
+    sum, non-finite terms and a zero total (the bins drop the sign of a
+    zero) go to math.fsum itself.
+    """
+    if _FSUM_MAX_TERMS < len(x) <= _BIN_MAX_TERMS:
+        lo, exp = np.frexp(x)
+        exp = exp.astype(np.intp)
+        low, high = int(exp.min()), int(exp.max())
+        # sum |x| < 2**(high + bits) keeps both sums clear of overflow
+        if high + len(x).bit_length() <= 1020:
+            exp -= low
+            with np.errstate(invalid="ignore"):  # inf - inf on an inf term
+                lo *= 2.0**27
+                hi = np.floor(lo)
+                lo -= hi
+            scale = np.arange(low - 27, high - 26)
+            parts = np.concatenate([np.ldexp(np.bincount(exp, hi), scale),
+                                    np.ldexp(np.bincount(exp, lo), scale)])
+            # frexp gives inf and NaN terms exponent 0 and a non-finite bin
+            if np.isfinite(parts).all():
+                total = math.fsum(parts.tolist())
+                if total:
+                    return total
+    return math.fsum(x.tolist())
 
 
 @dataclass(frozen=True)
@@ -47,7 +91,7 @@ class DiscreteDistribution:
             raise ValueError("probs must be a nonempty 1-D vector")
         if not np.all(probs > 0):
             raise ValueError("zero, negative or NaN probabilities are not allowed")
-        total = math.fsum(probs.tolist())
+        total = exact_sum(probs)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         if self.strict:
@@ -88,6 +132,21 @@ def _truncated_support(weights: np.ndarray, k: int) -> int:
     return int(np.append(ok, False).argmin())
 
 
+def _weights(family: str, k: int) -> np.ndarray:
+    """The unnormalised weights of k symbols (k // 2 for two_mixture)."""
+    if family == "uniform":
+        return np.ones(k)
+    if family == "zipf":
+        return 1.0 / np.arange(1, k + 1)
+    if family == "geometric":
+        return (1.0 - 1.0 / k) ** np.arange(k)
+    m = k // 2
+    # Exact when 4 | k; otherwise the extra symbol goes to the low
+    # weight so renormalization keeps the minimum above 1/k.
+    n_low = m - m // 2
+    return np.concatenate([np.full(n_low, 1.0 / k), np.full(m // 2, 3.0 / k)])
+
+
 def make_distribution(
     family: str,
     k: int,
@@ -105,30 +164,20 @@ def make_distribution(
             minimum probability is >= 1/k; otherwise they keep k symbols.
 
     Raises:
-        ValueError: unknown family, k < 2, or odd k for two_mixture.
+        ValueError: unknown family, k < 2, odd k for two_mixture, or a k
+            too large for numpy to build its weights.
     """
     check_k(k)
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if family == "two_mixture" and k % 2 != 0:
+        raise ValueError("two_mixture requires even k")
 
-    if family == "uniform":
-        weights = np.ones(k)
-    elif family == "zipf":
-        weights = 1.0 / np.arange(1, k + 1)
-    elif family == "geometric":
-        weights = (1.0 - 1.0 / k) ** np.arange(k)
-    else:  # two_mixture
-        if k % 2 != 0:
-            raise ValueError("two_mixture requires even k")
-        m = k // 2
-        # Exact when 4 | k; otherwise the extra symbol goes to the low
-        # weight so renormalization keeps the minimum above 1/k.
-        n_low = m - m // 2
-        weights = np.concatenate(
-            [np.full(n_low, 1.0 / k), np.full(m // 2, 3.0 / k)]
-        )
-
-    if strict and family in ("zipf", "geometric"):
-        weights = weights[: _truncated_support(weights, k)]
-    probs = weights / math.fsum(weights.tolist())
+    try:
+        weights = _weights(family, k)
+        if strict and family in ("zipf", "geometric"):
+            weights = weights[: _truncated_support(weights, k)]
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise ValueError(f"cannot build the {family} zoo at k={k}: {exc}") from None
+    probs = weights / exact_sum(weights)
     return DiscreteDistribution(probs=probs, k=k, strict=strict, family=family)

@@ -8,10 +8,10 @@ known.
 
 Moment calculators are exact closed forms: each phi_i is a sum of independent
 Bernoulli indicators, so its mean and second moment follow from per-symbol
-Poisson pmf values. Sums over symbols use math.fsum, which is exactly
-rounded, so large supports do not accumulate error. Arrays reach fsum as
-lists of Python floats (tolist), which it reads far faster than numpy
-scalars; the sum is the same.
+Poisson pmf values. Sums over symbols use distributions.exact_sum, which is
+exactly rounded, so large supports do not accumulate error: it returns the
+float math.fsum(x.tolist()) returns, from per-exponent numpy sums rather
+than one Python float per symbol.
 
 Every Poisson probability in the library comes from scipy.special: the pmf
 is poisson_pmf below, and cdfs and upper tails are pdtr and pdtrc.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import DiscreteDistribution, support_size
+from .distributions import DiscreteDistribution, exact_sum, support_size
 
 
 class UndefinedBiasError(ZeroDivisionError):
@@ -39,7 +39,13 @@ class MultiplicitySample:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
+        if counts.dtype.kind not in "biu":
+            whole = np.isfinite(counts) & (np.trunc(counts) == counts)
+            if not whole.all():
+                raise ValueError(f"multiplicities must be whole numbers, "
+                                 f"got {counts[~whole][0]}")
+        counts = counts.astype(np.int64, copy=False)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         if np.any(counts < 0):
@@ -59,6 +65,11 @@ class Fingerprint:
 
     def __post_init__(self):
         phi = {int(i): int(c) for i, c in self.phi.items() if c != 0}
+        # equal to its input, zeros aside, exactly when every value is whole
+        if phi != self.phi and phi != {i: c for i, c in self.phi.items() if c != 0}:
+            bad = next(v for item in self.phi.items() for v in item if v != int(v))
+            raise ValueError(
+                f"fingerprint keys and counts must be whole numbers, got {bad}")
         if any(i < 1 for i in phi) or any(c < 0 for c in phi.values()):
             raise ValueError("fingerprint keys must be >= 1 with counts >= 0")
         object.__setattr__(self, "phi", phi)
@@ -115,7 +126,7 @@ def _pmf(P: DiscreteDistribution, n: float, i: int) -> np.ndarray:
 
 def expected_prevalence(P: DiscreteDistribution, n: float, i: int) -> float:
     """E[phi_i] = sum_x exp(-n p_x) (n p_x)^i / i!"""
-    return math.fsum(_pmf(P, n, i).tolist())
+    return exact_sum(_pmf(P, n, i))
 
 
 def prevalence_second_moment(P: DiscreteDistribution, n: float, i: int) -> float:
@@ -124,8 +135,8 @@ def prevalence_second_moment(P: DiscreteDistribution, n: float, i: int) -> float
     Equals (E[phi_i])^2 + sum_x q_x (1 - q_x) with q_x the per-symbol pmf.
     """
     q = _pmf(P, n, i)
-    mu = math.fsum(q.tolist())
-    return mu * mu + math.fsum((q * (1.0 - q)).tolist())
+    mu = exact_sum(q)
+    return mu * mu + exact_sum(q * (1.0 - q))
 
 
 def exact_plugin_mse(P: DiscreteDistribution, n: float) -> float:

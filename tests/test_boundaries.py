@@ -124,6 +124,12 @@ CASES = {
                                                PHI0, f_inv),
     "MultiplicitySample [-1]": lambda: MultiplicitySample([-1]),
     "Fingerprint {0: 1}": lambda: Fingerprint({0: 1}),
+    "MultiplicitySample [1.5, 2.0]": lambda: MultiplicitySample([1.5, 2.0]),
+    "MultiplicitySample [1.0, nan]": lambda: MultiplicitySample([1.0, NAN]),
+    "MultiplicitySample [inf]": lambda: MultiplicitySample([INF]),
+    "Fingerprint {1: 2.5}": lambda: Fingerprint({1: 2.5}),
+    "Fingerprint {2.7: 1}": lambda: Fingerprint({2.7: 1}),
+    "Fingerprint {1: 0.5}": lambda: Fingerprint({1: 0.5}),
     "fingerprint length mismatch":
         lambda: fingerprint(MultiplicitySample([1, 2]),
                             make_distribution("uniform", 3)),

@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,11 @@ def test_bad_input_is_one_error_line(argv, bad_inputs, tmp_path, monkeypatch,
       for argv in BOUNDS_PAST_FLOAT_RANGE),
     (("sweep", "--master-seed", "-1"), "master_seed must be >= 0, got -1"),
     (("verify", "--seed", "-1"), "seed must be >= 0, got -1"),
+    # numpy refuses a zoo of 10^30 symbols before allocating anything
+    (("bounds", "--n", "2000", "--k", str(10**30), "--family", "zipf"),
+     f"zipf zoo at k={10**30}:"),
+    (("dist", "dump", "--family", "zipf", "--k", str(10**30)),
+     f"zipf zoo at k={10**30}:"),
 ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else "")
 def test_error_names_the_input(argv, text, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -222,3 +231,15 @@ def test_estimate_rejects_bad_input(flags, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_python_m_runs_the_cli(capsys):
+    # a checkout without pip install: the package comes from src/ alone
+    src = Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    argv = ["bounds", "--n", "2000", "--k", "1000"]
+    proc = subprocess.run([sys.executable, "-m", "supportsize", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli(capsys, *argv)[1]

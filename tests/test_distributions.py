@@ -5,12 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supportsize import distributions
 from supportsize.distributions import (
     DiscreteDistribution,
     FAMILIES,
+    exact_sum,
     make_distribution,
     support_size,
 )
+from supportsize.poisson_model import poisson_pmf
 
 
 def test_uniform_k4():
@@ -141,3 +144,82 @@ def test_probs_are_immutable():
     P = make_distribution("uniform", 4)
     with pytest.raises(ValueError):
         P.probs[0] = 0.5
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@st.composite
+def float_arrays(draw):
+    """Finite float64 arrays on both sides of exact_sum's fsum floor, built
+    from one drawn seed so that a 3000-term example stays cheap."""
+    size = draw(st.integers(1, 1000) | st.integers(1001, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-1130, 990))
+    high = draw(st.integers(low, min(low + 300, 1000)))
+    x = np.ldexp(rng.standard_normal(size), rng.integers(low, high + 1, size))
+    shape = draw(st.sampled_from(["mixed", "positive", "constant", "cancel"]))
+    if shape == "positive":
+        x = np.abs(x)
+    elif shape == "constant":
+        x = np.full(size, x[0])
+    elif shape == "cancel":  # an exact zero, or one term left over
+        x = rng.permutation(np.concatenate([x, -x, x[: draw(st.integers(0, 1))]]))
+    return x
+
+
+@settings(deadline=None, max_examples=300)
+@given(float_arrays())
+@example(np.full(1500, -0.0))
+@example(np.full(2000, 5e-324))
+@example(np.ldexp(np.full(2000, 1.0 - 2.0**-53), 990))
+@example(np.linspace(-1.0, 1.0, 1001))
+def test_exact_sum_is_fsum(x):
+    assert same_float(exact_sum(x), math.fsum(x.tolist()))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_exact_sum_on_analyze_counts_rows(family):
+    # every per-symbol sum of the analyze_counts requests: k up to 10^5 and
+    # n = k/2..4k, where zipf's pmf rows run from about 1 to subnormals
+    for k in (10**3, 10**4, 10**5):
+        P = make_distribution(family, k)
+        for n in (0.5 * k, 1.0 * k, 2.0 * k, 4.0 * k):
+            for i in (0, 1, 2):
+                q = poisson_pmf(i, n * P.probs)
+                for x in (q, q * (1.0 - q)):
+                    assert same_float(exact_sum(x), math.fsum(x.tolist()))
+
+
+def test_exact_sum_past_the_bin_bound_takes_fsum(monkeypatch):
+    # a per-exponent bin of more than 2**26 terms could round, so such
+    # arrays go to fsum; a lowered bound shows that without 2**26 terms
+    def kernel(*args):
+        raise AssertionError("kernel called")
+
+    x = np.random.default_rng(0).standard_normal(2000)
+    monkeypatch.setattr(distributions, "_BIN_MAX_TERMS", 1500)
+    monkeypatch.setattr(np, "frexp", kernel)
+    assert exact_sum(x) == math.fsum(x.tolist())
+    with pytest.raises(AssertionError, match="kernel called"):
+        exact_sum(x[:1200])
+
+
+def test_exact_sum_near_overflow_is_fsum():
+    # fsum overflows on its running sum 2e308 although the total is 1e308;
+    # per-exponent bins would cancel first, so terms this large take fsum
+    x = np.zeros(1500)
+    x[:3] = [1e308, 1e308, -1e308]
+    with pytest.raises(OverflowError):
+        math.fsum(x.tolist())
+    with pytest.raises(OverflowError):
+        exact_sum(x)
+
+
+def test_long_vector_holding_inf_is_refused():
+    # the kernel would give inf a NaN bin; non-finite terms take fsum
+    probs = np.full(2000, 1 / 2000)
+    probs[7] = math.inf
+    with pytest.raises(ValueError, match="sum to inf"):
+        DiscreteDistribution(probs=probs, k=2000)

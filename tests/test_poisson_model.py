@@ -14,6 +14,7 @@ from scipy import stats
 import supportsize
 from supportsize.distributions import DiscreteDistribution, make_distribution
 from supportsize.poisson_model import (
+    Fingerprint,
     MultiplicitySample,
     UndefinedBiasError,
     exact_bias_expression,
@@ -258,3 +259,22 @@ def test_monte_carlo_prevalence_mean(zoo_distribution):
         mean = draws.mean()
         stderr = draws.std(ddof=1) / math.sqrt(trials)
         assert abs(mean - expected_prevalence(P, n, i)) <= 4 * stderr + 1e-9
+
+
+@pytest.mark.parametrize("make, value", [
+    (lambda: MultiplicitySample([1.5, 2.0]), "1.5"),
+    (lambda: MultiplicitySample(np.array([3.0, np.nan])), "nan"),
+    (lambda: Fingerprint({1: 2.5, 2.7: 1}), "2.5"),
+    (lambda: Fingerprint({2.7: 1}), "2.7"),
+])
+def test_non_whole_values_are_refused_by_name(make, value):
+    with pytest.raises(ValueError, match=f"whole numbers, got {value}$"):
+        make()
+
+
+def test_whole_floats_become_ints():
+    counts = MultiplicitySample([2.0, 0.0, 5.0]).counts
+    assert counts.dtype == np.int64 and counts.tolist() == [2, 0, 5]
+    fp = Fingerprint({1: 2.0, 2.0: 3, 3: 0.0})
+    assert fp.phi == {1: 2, 2: 3} and all(
+        type(v) is int for item in fp.phi.items() for v in item)
