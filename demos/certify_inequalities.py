@@ -1,13 +1,14 @@
 """Exhaustively certify the prevalence inequalities on small alphabets.
 
-Builds a truncated product-Poisson enumeration, runs one example of each
-inequality check with its exact expectations, then fires the full
-randomized campaign and summarizes the certificates.
+Builds the exact law of three symbols' count classes {0, 1, 2, 3, 4, >= 5},
+runs one example of each inequality check with its exact expectations, then
+fires the full randomized campaign and summarizes the certificates.
 """
 
 import time
 
 from supportsize.oracle import (
+    MAX_PREVALENCE,
     LinearFunctional,
     build_instance,
     certification_campaign,
@@ -20,8 +21,9 @@ from supportsize.oracle import (
 )
 
 inst = build_instance([1.0, 1.0, 1.0])
-print(f"instance: means={inst.means} cutoffs={inst.max_counts} "
-      f"cells={len(inst.probs)} tail={inst.tail_mass:.2e}\n")
+top = MAX_PREVALENCE + 1
+print(f"instance: means={inst.means} classes=0..{MAX_PREVALENCE},>={top} "
+      f"cells={len(inst.probs)} (= {top + 1}^{inst.num_symbols})\n")
 
 cert = check_decoupling_lower(
     inst, phi_squared(1), LinearFunctional(coeffs=(0.0, 0.0, 1.0)), f_inv

@@ -1,11 +1,12 @@
 """Exhaustive exact-expectation engine for certifying prevalence inequalities.
 
 For a tiny alphabet (at most 4 symbols) with Poisson multiplicity means
-lambda_x, every multiplicity vector up to a per-symbol truncation cutoff is
-enumerated together with its product-Poisson probability. Expectations over
-this truncated joint law are exact up to an explicit tail mass, which every
-check carries as numerical slack: an inequality is only reported falsified
-when it fails by more than the slack.
+lambda_x, each symbol falls into one of the classes {0, 1, 2, 3, 4, >= 5} of
+its count, and every vector of classes is enumerated together with its
+product probability. The prevalences phi_0..phi_4 are functions of the
+classes, so expectations over this law are exact; each check carries only a
+rounding slack, and an inequality is reported falsified only when it fails
+by more than that.
 
 The checks instantiate the decoupling bounds for polynomial-times-rational
 prevalence functionals, the characteristic-polynomial integral inequality,
@@ -27,11 +28,9 @@ from .distributions import FAMILIES, DiscreteDistribution, make_distribution
 from .poisson_model import expected_prevalence, poisson_pmf
 
 MAX_SYMBOLS = 4
-#: Bound on the probability mass left out of an instance's enumeration.
-TAIL_TOL = 1e-10
-#: Largest phi_table an instance may allocate, in entries: its cells times
-#: its columns phi_0..phi_{max M}.
-CELL_CAP = 10**7
+#: Largest prevalence index an instance answers: each symbol's count is kept
+#: only up to MAX_PREVALENCE + 1, which stands for that many or more.
+MAX_PREVALENCE = 4
 
 _CONDITIONAL_FACTOR_BASE = 1.0 - 2.0 * math.exp(-2.0)
 
@@ -84,32 +83,35 @@ def phi_squared(i: int) -> PolyFunctional:
 
 @dataclass(frozen=True)
 class OracleInstance:
-    """Truncated joint law over multiplicity vectors of a small alphabet."""
+    """Exact joint law of the capped counts min(N_x, MAX_PREVALENCE + 1) of a
+    small alphabet, and so of its prevalences phi_0..phi_{MAX_PREVALENCE}."""
 
     means: tuple[float, ...]
-    max_counts: tuple[int, ...]
-    counts: np.ndarray  # cells x m multiplicity vectors
-    probs: np.ndarray  # cells, product-Poisson probabilities
-    tail_mass: float
-    phi_table: np.ndarray = field(repr=False)  # cells x (max count + 1)
+    counts: np.ndarray  # cells x m capped counts; the top class is "or more"
+    probs: np.ndarray  # cells, products of the per-symbol class masses
+    tail_mass: float  # mass left out of the law: always 0.0
+    phi_table: np.ndarray = field(repr=False)  # cells x phi_0..phi_{MAX_PREVALENCE}
 
     @property
     def num_symbols(self) -> int:
         return len(self.means)
 
     def prevalences(self, i: int) -> np.ndarray:
-        """phi_i evaluated on every enumerated cell."""
+        """phi_i evaluated on every cell."""
         if i < 0:
             raise ValueError(f"prevalence index must be >= 0, got {i}")
-        if i < self.phi_table.shape[1]:
-            return self.phi_table[:, i].astype(float)
-        return np.zeros(len(self.probs))
+        if i > MAX_PREVALENCE:
+            raise ValueError(f"prevalence index {i} is above {MAX_PREVALENCE}, "
+                             "the largest the class law answers")
+        return self.phi_table[:, i].astype(float)
 
     def linear_values(self, lin: LinearFunctional) -> np.ndarray:
-        beta = np.zeros(self.phi_table.shape[1])
-        m = min(len(lin.coeffs), len(beta))
-        beta[:m] = lin.coeffs[:m]
-        return self.phi_table @ beta
+        top = len(lin.coeffs) - 1
+        if top > MAX_PREVALENCE:
+            raise ValueError(f"linear functional reaches prevalence index {top}, "
+                             f"above {MAX_PREVALENCE}, the largest the class "
+                             "law answers")
+        return self.phi_table[:, :top + 1] @ np.asarray(lin.coeffs, dtype=float)
 
     def poly_values(self, poly: PolyFunctional) -> np.ndarray:
         out = np.zeros(len(self.probs))
@@ -121,23 +123,35 @@ class OracleInstance:
         return out
 
 
+@lru_cache(maxsize=MAX_SYMBOLS)
+def _class_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only capped counts and prevalence table of the m-symbol class box."""
+    width = MAX_PREVALENCE + 2
+    cells = width**m
+    counts = np.indices((width,) * m).reshape(m, cells).T
+    entries = np.arange(0, cells * width, width)[:, None] + counts
+    phi_table = np.bincount(entries.ravel(), minlength=cells * width)
+    phi_table = phi_table.reshape(cells, width)[:, :-1]
+    counts.flags.writeable = False
+    phi_table.flags.writeable = False
+    return counts, phi_table
+
+
 def build_instance(means) -> OracleInstance:
-    """Enumerate the truncated product-Poisson law for the given means.
+    """The exact law of the capped counts for the given Poisson means.
 
-    Cutoff rule: symbol x keeps the counts 0..M_x, where M_x is the smallest
-    M whose Poisson upper tail P(N_x > M) = pdtrc(M, lambda_x) is below
-    TAIL_TOL / m, so the un-enumerated mass is below TAIL_TOL overall. One
-    pdtrc call evaluates the tails on M = 0..31; only if some tail is still
-    too heavy there, a second call covers M = 32..isqrt(CELL_CAP). A symbol
-    not cleared by M = isqrt(CELL_CAP) takes that cutoff, which puts
-    phi_table over the cap.
+    Symbol x falls in class min(N_x, MAX_PREVALENCE + 1) with mass
+    poisson_pmf(c, lambda_x) for c = 0..MAX_PREVALENCE and pdtrc(MAX_PREVALENCE,
+    lambda_x) = P(N_x > MAX_PREVALENCE) for the top class. Prevalences up to
+    MAX_PREVALENCE depend on the counts only through these classes, so every
+    expectation of them is exact and nothing is left out: tail_mass is 0.0.
 
-    Cells: every multiplicity vector in the box prod_x {0..M_x}, in
-    row-major order (the last symbol varies fastest). A cell's probability
-    is the product of its per-symbol Poisson pmfs, multiplied in symbol
-    order, and row c of phi_table holds the prevalences phi_0..phi_{max M}
-    of cell c. The phi_table size, cells x (max M + 1) entries, is checked
-    against CELL_CAP before any array is allocated.
+    Cells: every vector of classes in the box {0..MAX_PREVALENCE + 1}^m, in
+    row-major order (the last symbol varies fastest). A cell's probability is
+    the product of its per-symbol class masses, multiplied in symbol order,
+    and row c of phi_table holds the prevalences phi_0..phi_{MAX_PREVALENCE}
+    of cell c. The counts and phi_table depend only on m and are shared
+    between instances, read-only.
     """
     means = tuple(float(x) for x in means)
     m = len(means)
@@ -146,42 +160,15 @@ def build_instance(means) -> OracleInstance:
     if not all(0 < lam < math.inf for lam in means):
         raise ValueError("all means must be positive and finite")
 
-    lam = np.array(means)[:, None]
-    per_tol = TAIL_TOL / m
-    last = math.isqrt(CELL_CAP)  # with M_x = last, cells * width > CELL_CAP
-    cleared = pdtrc(np.arange(32), lam) < per_tol
-    if not cleared.any(axis=1).all():
-        cleared = np.hstack([cleared, pdtrc(np.arange(32, last + 1), lam) < per_tol])
-    cutoffs = np.where(cleared.any(axis=1), cleared.argmax(axis=1), last)
-
-    max_counts = tuple(cutoffs.tolist())
-    shape = tuple(M + 1 for M in max_counts)
-    cells = math.prod(shape)
-    width = max(shape)
-    if cells * width > CELL_CAP:
-        raise ValueError(f"enumeration of at least {cells} cells x {width} "
-                         f"columns exceeds cap {CELL_CAP}")
-
-    counts = np.indices(shape).reshape(m, cells).T
-    pmf = poisson_pmf(np.arange(width), lam)
-    per_symbol = [pmf[j, :M] for j, M in enumerate(shape)]
-    probs = reduce(np.multiply.outer, per_symbol).ravel()
-    tail_mass = 1.0 - math.fsum(probs.tolist())
-
-    entries = np.arange(0, cells * width, width)[:, None] + counts
-    phi_table = np.bincount(entries.ravel(), minlength=cells * width)
-    phi_table = phi_table.reshape(cells, width).astype(np.int64, copy=False)
-
-    counts.flags.writeable = False
+    lam = np.array(means)
+    masses = np.empty((m, MAX_PREVALENCE + 2))
+    masses[:, :-1] = poisson_pmf(np.arange(MAX_PREVALENCE + 1), lam[:, None])
+    masses[:, -1] = pdtrc(MAX_PREVALENCE, lam)
+    probs = reduce(np.multiply.outer, masses).ravel()
     probs.flags.writeable = False
-    phi_table.flags.writeable = False
+    counts, phi_table = _class_grid(m)
     return OracleInstance(
-        means=means,
-        max_counts=max_counts,
-        counts=counts,
-        probs=probs,
-        tail_mass=tail_mass,
-        phi_table=phi_table,
+        means=means, counts=counts, probs=probs, tail_mass=0.0, phi_table=phi_table,
     )
 
 
@@ -228,10 +215,10 @@ def _skip(name: str, detail: str) -> Certificate:
     return Certificate(name=name, status="skipped", detail=detail)
 
 
-def _tail_slack(inst: OracleInstance, *value_arrays) -> float:
-    """Tail-mass error bar combining sups of the enumerated integrands."""
-    sups = [float(np.max(np.abs(v), initial=0.0)) for v in value_arrays]
-    return sum(inst.tail_mass * sup for sup in sups) + 1e-12 * (1.0 + sum(sups))
+def _rounding_slack(*value_arrays) -> float:
+    """Rounding error bar scaled by the sups of the integrands."""
+    return 1e-12 * (1.0 + sum(float(np.max(np.abs(v), initial=0.0))
+                              for v in value_arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +236,7 @@ def check_decoupling_lower(
     p = inst.probs
     lhs = float((pv * f(lv)) @ p)
     rhs = float(pv @ p) * float(f(lv + poly.degree) @ p)
-    slack = _tail_slack(inst, pv * f(lv), pv, f(lv + poly.degree))
+    slack = _rounding_slack(pv * f(lv), pv, f(lv + poly.degree))
     return _certify("decoupling_lower", lhs - rhs, slack, lhs, rhs)
 
 
@@ -272,7 +259,7 @@ def check_decoupling_upper_concave(
         )
     lhs = float((pv * f(lv)) @ p)
     rhs = float(pv @ p) * float(f(np.array(e_lin - d_sigma)))
-    slack = _tail_slack(inst, pv * f(lv), pv, lv)
+    slack = _rounding_slack(pv * f(lv), pv, lv)
     return _certify("decoupling_upper_concave", rhs - lhs, slack, lhs, rhs)
 
 
@@ -311,7 +298,7 @@ def check_domination_upper(
     rhs = float(pv @ p) * math.fsum(
         coeff * (e_lin - d_sigma) ** -t for t, coeff in enumerate(fprime)
     )
-    slack = _tail_slack(inst, pv * f(lv), pv, lv)
+    slack = _rounding_slack(pv * f(lv), pv, lv)
     return _certify("domination_upper", rhs - lhs, slack, lhs, rhs)
 
 
@@ -409,7 +396,7 @@ def check_moment_bound(inst: OracleInstance, j: int, h: int) -> Certificate:
     lhs = float((pj**h) @ p)
     mu = float(pj @ p)
     rhs = math.fsum(c * mu**k for k, c in enumerate(moment_coefficients(h), 1))
-    slack = _tail_slack(inst, pj**h, pj)
+    slack = _rounding_slack(pj**h, pj)
     return _certify("moment_bound", rhs - lhs, slack, lhs, rhs,
                     detail=f"j={j} h={h}")
 
@@ -431,7 +418,7 @@ def check_degree2_second_moment(
     lhs = float((pv * pv) @ p)
     mean = float(pv @ p)
     rhs = mean * mean + 6.0 * k * L * mean
-    slack = _tail_slack(inst, pv * pv, pv)
+    slack = _rounding_slack(pv * pv, pv)
     return _certify("degree2_second_moment", rhs - lhs, slack, lhs, rhs)
 
 
@@ -447,8 +434,7 @@ def check_conditional_moment(inst: OracleInstance, j: int, h: int) -> Certificat
     lhs = float((pj[mask] ** h) @ inst.probs[mask]) / pz
     factor = _CONDITIONAL_FACTOR_BASE ** -min(inst.num_symbols, h)
     rhs = factor * float((pj**h) @ inst.probs)
-    sup = float(np.max(pj**h, initial=0.0))
-    slack = inst.tail_mass * sup * (1.0 / pz + factor) + 1e-12 * (1.0 + rhs)
+    slack = 1e-12 * (1.0 + rhs)
     return _certify("conditional_moment", rhs - lhs, slack, lhs, rhs,
                     detail=f"j={j} h={h}")
 
@@ -460,24 +446,20 @@ def check_negative_regression(inst: OracleInstance, i: int, j: int, shape) -> Ce
         raise ValueError("i and j must differ")
     pj = inst.prevalences(j)
     si = shape(inst.prevalences(i))
-    sup = float(np.max(np.abs(si), initial=0.0))
     prev = None
     worst = math.inf
-    total_slack = 1e-12
     for t in range(inst.num_symbols + 1):
         mask = pj == t
         pt = float(inst.probs[mask].sum())
-        if pt <= inst.tail_mass:
+        if pt <= 0:
             continue
         cond = float(si[mask] @ inst.probs[mask]) / pt
-        slack_t = inst.tail_mass * sup / pt
         if prev is not None:
             worst = min(worst, prev - cond)
-            total_slack += slack_t + prev_slack
-        prev, prev_slack = cond, slack_t
-    if prev is None or worst is math.inf:
+        prev = cond
+    if worst is math.inf:
         return _skip("negative_regression", "fewer than two feasible values")
-    return _certify("negative_regression", worst, total_slack,
+    return _certify("negative_regression", worst, 1e-12,
                     math.nan, math.nan, detail=f"i={i} j={j}")
 
 
@@ -573,7 +555,7 @@ def certification_campaign(
     """Run every inequality check over randomized instances.
 
     Returns a flat list of certificates; a single falsification means one
-    of the certified inequalities failed numerically beyond tail slack.
+    of the certified inequalities failed numerically beyond rounding slack.
     """
     if min(decoupling, charpoly_cases, moment, degree2, conditional, regression) < 0:
         raise ValueError("per-check counts must be >= 0")

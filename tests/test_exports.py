@@ -53,7 +53,7 @@ def test_perfbench_surface(tmp_path):
     inst = oracle.build_instance([0.5, 1.0])
     assert inst.phi_table.dtype == np.int64
     assert len(inst.counts) == len(inst.probs) == len(inst.phi_table)
-    assert 0.0 <= inst.tail_mass <= oracle.TAIL_TOL
+    assert inst.tail_mass == 0.0
 
     sizes = dict(decoupling=1, charpoly_cases=2, moment=1, degree2=1,
                  conditional=1, regression=1)

@@ -5,16 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import pdtrc
 
-from supportsize import oracle
 from supportsize.distributions import DiscreteDistribution, make_distribution
 from supportsize.oracle import (
-    CELL_CAP,
-    TAIL_TOL,
+    MAX_PREVALENCE,
     LinearFunctional,
     PolyFunctional,
     build_instance,
@@ -31,6 +28,7 @@ from supportsize.oracle import (
     check_moment_bound,
     check_negative_regression,
     dominator_value,
+    f_exp_neg,
     f_inv,
     f_inv_falling2,
     f_inv_sq,
@@ -39,7 +37,7 @@ from supportsize.oracle import (
     phi_squared,
     summarize_certificates,
 )
-from supportsize.poisson_model import expected_prevalence
+from supportsize.poisson_model import expected_prevalence, prevalence_second_moment
 
 
 # ---------------------------------------------------------------------------
@@ -47,19 +45,10 @@ from supportsize.poisson_model import expected_prevalence
 # ---------------------------------------------------------------------------
 
 
-def test_build_instance_cutoff():
-    # the cutoff is the smallest M whose Poisson upper tail clears the
-    # tolerance; for mean 0.1 that tail drops below 1e-10 at M = 6
-    inst = build_instance([0.1])
-    M = inst.max_counts[0]
-    assert stats.poisson.sf(M, 0.1) < 1e-10
-    assert stats.poisson.sf(M - 1, 0.1) >= 1e-10
-
-
 def test_build_instance_normalization():
     inst = build_instance([0.7, 1.3, 2.1])
-    assert abs(float(inst.probs.sum()) + inst.tail_mass - 1.0) < 1e-13
-    assert inst.tail_mass <= 1e-10
+    assert inst.tail_mass == 0.0
+    assert abs(math.fsum(inst.probs.tolist()) - 1.0) <= 1e-15
 
 
 def test_build_instance_joint_independence():
@@ -69,39 +58,28 @@ def test_build_instance_joint_independence():
     assert inst.probs[idx[0]] == pytest.approx(math.exp(-2.0), rel=1e-13)
 
 
-def test_build_instance_validation(monkeypatch):
-    with pytest.raises(ValueError):
-        build_instance([])
-    with pytest.raises(ValueError):
-        build_instance([1.0] * 5)
-    with pytest.raises(ValueError):
-        build_instance([1.0, -1.0])
-    # [50.0] * 4 has about 1.17e8 cells. One symbol of mean 3000 needs only
-    # 3356 cells, but its phi_table is cells x cells: 1.13e7 entries (90 MB).
-    # That cutoff, like those of 1e5 and up, lies beyond isqrt(CELL_CAP), so
-    # the table is over the cap before the cutoff search ends; the search
-    # must stop there rather than go on towards the tail (about 1e9 values
-    # of M for a mean of 1e9), both in calls and in tail values evaluated.
-    calls, entries = [], []
-
-    def counted_pdtrc(M, lam):
-        calls.append(1)
-        entries.append(np.broadcast(M, lam).size)
-        return pdtrc(M, lam)
-
-    monkeypatch.setattr(oracle, "pdtrc", counted_pdtrc)
-    for means in ([50.0] * 4, [3000.0], [1e5], [1e9], [1e300]):
-        calls.clear()
-        entries.clear()
-        with pytest.raises(ValueError, match="exceeds cap"):
+def test_build_instance_validation():
+    for means in ([], [1.0] * 5, [1.0, -1.0], [1.0, math.nan], [math.inf]):
+        with pytest.raises(ValueError):
             build_instance(means)
-        assert len(calls) <= math.isqrt(CELL_CAP)
-        assert sum(entries) <= len(means) * (math.isqrt(CELL_CAP) + 1)
+    # means whose truncated box would hold about 1e8 cells (four of 50) or
+    # more than 1e7 phi_table entries (3000 and up) build the same small law:
+    # every symbol is almost surely in the top class
+    for means in ([50.0] * 4, [3000.0], [1e5], [1e9], [1e300]):
+        inst = build_instance(means)
+        assert len(inst.probs) == len(inst.counts) == 6 ** len(means)
+        assert abs(math.fsum(inst.probs.tolist()) - 1.0) <= 1e-15
+        assert inst.tail_mass == 0.0
+
+
+#: The reference box drops per symbol at most this much tail mass over m.
+TAIL_TOL = 1e-10
 
 
 def reference_instance(means):
-    """Cutoffs, cells and cell probabilities by per-symbol quantile search and
-    a per-cell itertools.product enumeration."""
+    """Full counts, cell probabilities and left-out tail mass of the product
+    Poisson law, by per-symbol quantile search for the cutoffs and a per-cell
+    itertools.product enumeration of the box below them."""
     per_tol = TAIL_TOL / len(means)
     cutoffs = []
     for lam in means:
@@ -114,75 +92,83 @@ def reference_instance(means):
     probs = np.ones(len(counts))
     for j, (lam, M) in enumerate(zip(means, cutoffs)):
         probs *= stats.poisson.pmf(np.arange(M + 1), lam)[counts[:, j]]
-    return tuple(cutoffs), counts, probs
+    return counts, probs, 1.0 - math.fsum(probs.tolist())
 
 
 @settings(deadline=None, max_examples=50)
 @given(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4))
 def test_build_instance_matches_product_enumeration(means):
+    # cell by cell: the capped counts in itertools.product order, each
+    # probability the product of its class masses, and the prevalences
     inst = build_instance(means)
-    cutoffs, counts, probs = reference_instance(means)
-    assert inst.max_counts == cutoffs
-    per_tol = TAIL_TOL / len(means)
-    for lam, M in zip(means, cutoffs):
-        assert stats.poisson.sf(M, lam) < per_tol <= stats.poisson.sf(M - 1, lam)
-    assert inst.counts.dtype == counts.dtype
+    counts = np.array(list(itertools.product(range(6), repeat=len(means))))
     np.testing.assert_array_equal(inst.counts, counts)
+    masses = [np.append(stats.poisson.pmf(np.arange(5), lam),
+                        stats.poisson.sf(4, lam)) for lam in means]
+    probs = np.ones(len(counts))
+    for j, mass in enumerate(masses):
+        probs *= mass[counts[:, j]]
     assert inst.probs.tobytes() == probs.tobytes()
-    phi = np.array([np.bincount(row, minlength=max(cutoffs) + 1) for row in counts])
-    assert inst.phi_table.dtype == phi.dtype
-    np.testing.assert_array_equal(inst.phi_table, phi)
-    assert inst.tail_mass <= TAIL_TOL
-
-
-TINY_MEANS = st.sampled_from([1e-12, 1e-9])
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.one_of(
-    st.lists(st.floats(3.0, 300.0) | TINY_MEANS, min_size=1, max_size=2).filter(
-        lambda means: len(means) == 1 or min(means) < 1.0),
-    st.lists(st.floats(3.0, 40.0), min_size=2, max_size=2),
-))
-@example([2000.0])
-def test_build_instance_cutoffs_past_first_grid(means):
-    # means up to 300 take the cutoff search past its first grid of 32
-    # values, and tiny ones have M = 0; the reference steps M one at a time.
-    # Two means above 40 could put the instance over CELL_CAP. A mean of
-    # 2000 has M = 2291, near the top of the second grid at isqrt(CELL_CAP),
-    # and 5.3e6 table entries, under the cap.
-    inst = build_instance(means)
-    per_tol = TAIL_TOL / len(means)
-    cutoffs = []
-    for lam in means:
-        M = 0
-        while pdtrc(M, lam) >= per_tol:
-            M += 1
-        cutoffs.append(M)
-    assert inst.max_counts == tuple(cutoffs)
-    width = max(cutoffs) + 1
-    phi = np.array([np.bincount(row, minlength=width) for row in inst.counts])
+    phi = np.array([np.bincount(row, minlength=6)[:5] for row in counts])
     assert inst.phi_table.dtype == phi.dtype == np.int64
     np.testing.assert_array_equal(inst.phi_table, phi)
-    assert inst.tail_mass <= TAIL_TOL
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.floats(0.05, 3.0, exclude_min=True), min_size=1, max_size=3),
+    st.integers(1, 3).flatmap(lambda d: st.dictionaries(
+        st.tuples(*[st.integers(0, MAX_PREVALENCE)] * d), st.floats(0.0, 1.0),
+        min_size=1, max_size=3)),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=MAX_PREVALENCE + 1),
+    st.sampled_from([f_inv, f_inv_sq, f_exp_neg]),
+)
+def test_class_law_expectations_match_box_enumeration(means, coeffs, beta, f):
+    # E[poly * f(beta . phi)] under the class law against the reference box:
+    # the box leaves out tail_mass, so the two differ by at most tail_mass
+    # times the integrand's sup, plus rounding
+    inst = build_instance(means)
+    assert abs(math.fsum(inst.probs.tolist()) - 1.0) <= 1e-15
+    poly = PolyFunctional(degree=len(next(iter(coeffs))), coeffs=coeffs)
+    lin = LinearFunctional(tuple(beta))
+    values = inst.poly_values(poly) * f(inst.linear_values(lin))
+    counts, probs, tail_mass = reference_instance(means)
+    width = max(int(counts.max()), MAX_PREVALENCE) + 1
+    phi = np.array([np.bincount(row, minlength=width)[:MAX_PREVALENCE + 1]
+                    for row in counts])
+    ref_values = f(phi[:, :len(beta)] @ beta) * sum(
+        coeff * np.prod(phi[:, list(idx)], axis=1) for idx, coeff in coeffs.items())
+    sup = float(np.max(np.abs(ref_values)))
+    assert abs(float(values @ inst.probs) - float(ref_values @ probs)) <= (
+        tail_mass * sup + 1e-12)
 
 
 def test_prevalence_matches_expected_prevalence():
-    # cross-module consistency: the oracle's E[phi_i] equals the analytic
-    # moment for the distribution/means pair
-    means = [1.0, 1.0]
-    inst = build_instance(means)
-    P = DiscreteDistribution(probs=np.array([0.5, 0.5]), k=2)
-    n = 2.0
-    slack = 2 * inst.tail_mass + 1e-13
-    for i in range(4):
-        oracle_value = float(inst.prevalences(i) @ inst.probs)
-        assert oracle_value == pytest.approx(
-            expected_prevalence(P, n, i), abs=slack
-        )
+    # cross-module consistency: the oracle's E[phi_i] and E[phi_i^2] equal
+    # the analytic moments for the distribution/means pair, up to rounding
+    for probs, n in (([0.5, 0.5], 2.0), ([0.2, 0.3, 0.5], 3.7)):
+        P = DiscreteDistribution(np.array(probs), k=len(probs), strict=False)
+        inst = build_instance(n * P.probs)
+        for i in range(MAX_PREVALENCE + 1):
+            phi = inst.prevalences(i)
+            assert float(phi @ inst.probs) == pytest.approx(
+                expected_prevalence(P, n, i), rel=4e-15, abs=0.0)
+            assert float(phi**2 @ inst.probs) == pytest.approx(
+                prevalence_second_moment(P, n, i), rel=4e-15, abs=0.0)
+    inst = build_instance([1.0, 1.0])
     assert float(inst.prevalences(1) @ inst.probs) == pytest.approx(
-        2.0 * math.exp(-1.0), abs=slack
-    )
+        2.0 * math.exp(-1.0), rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst: inst.prevalences(5),
+    lambda inst: inst.poly_values(PolyFunctional(degree=2, coeffs={(1, 5): 1.0})),
+    lambda inst: inst.linear_values(LinearFunctional(coeffs=(0.0,) * 6)),
+], ids=["prevalences", "poly_values", "linear_values"])
+def test_indices_above_the_class_law_are_refused(call):
+    # the top class holds counts 5 and up, so phi_5 and beyond are unknown
+    with pytest.raises(ValueError, match=r"^[^\n]*index 5[^\n]*above 4[^\n]*$"):
+        call(build_instance([1.0, 2.0]))
 
 
 def test_functional_validation():
@@ -498,6 +484,21 @@ def test_negative_regression_validation():
         check_negative_regression(inst, 1, 1, lambda x: x)
 
 
+def test_negative_regression_skips_values_of_zero_mass():
+    # at mean 1e300 the pmf of 0..4 underflows to 0: that symbol is in the
+    # top class with mass 1, so phi_1 = 2 has zero mass and is not feasible
+    inst = build_instance([1e300, 1.0])
+    assert float(inst.probs[inst.prevalences(1) == 2].sum()) == 0.0
+    with np.errstate(all="raise"):
+        cert = check_negative_regression(inst, 0, 1, lambda x: x)
+    # E[phi_0 | phi_1 = 0] = e^-1 / (1 - e^-1) and E[phi_0 | phi_1 = 1] = 0
+    assert cert.passed
+    assert cert.margin == pytest.approx(1.0 / (math.e - 1.0), rel=1e-15, abs=0.0)
+    # with that symbol alone, phi_1 = 0 is the one feasible value
+    cert = check_negative_regression(build_instance([1e300]), 0, 1, lambda x: x)
+    assert cert.status == "skipped"
+
+
 def test_cauchy_schwarz_zoo():
     for family in ("uniform", "zipf", "geometric", "two_mixture"):
         P = make_distribution(family, 100)
@@ -525,14 +526,14 @@ pinned_versions = pytest.mark.skipif(
 
 @pinned_versions
 def test_campaign_certificates_are_pinned():
-    # the verify ratios at campaign size 10; instance enumeration, the
+    # the verify ratios at campaign size 10; the instances' class law, the
     # checks and their slack are part of the output contract
     certs = certification_campaign(
         seed=0, decoupling=10, charpoly_cases=20, moment=10, degree2=10,
         conditional=10, regression=10,
     )
     assert hashlib.sha256(repr(certs).encode()).hexdigest() == (
-        "509667bafe17841e9960dacc26691bb829c5d1de7f83532d682a2c282c4e4d90")
+        "0cfc0b4b236a62647b52347be79d24325c6ac91e1ff9eed244fbc52a1b7dd971")
 
 
 @pinned_versions
@@ -544,7 +545,7 @@ def test_verify_campaign_certificates_are_pinned():
         conditional=100, regression=100,
     )
     assert hashlib.sha256(repr(certs).encode()).hexdigest() == (
-        "54e6a35b7da73d8d8812fef24b030b5c7c2735870bd1ee5cb0792e6ed65f8405")
+        "71912cb414a338332142baa33186457240e9d58b9fc9b807e6b30bbc6050a331")
 
 
 def test_campaign_rejects_negative_counts():
