@@ -257,41 +257,115 @@ def _is_header(fields) -> bool:
     return [f.strip().lower() for f in fields] == ["symbol", "count"]
 
 
+#: _BYTE_MASKS[j] keeps the first j bytes of a little-endian 8-byte word.
+_BYTE_MASKS = np.array([256**j - 1 for j in range(9)], np.uint64)
+#: Odd multiplier of the polynomial hash of symbols over 8 bytes.
+_HASH_BASE = np.uint64(0x100000001B3)
+#: Longest symbol, in UTF-8 bytes, that _split_counts takes. The hash makes
+#: one numpy pass per 8 bytes of the longest symbol, even when it is the only
+#: long one, so a text with a longer symbol goes to the per-row parse.
+_LONGEST_SYMBOL = 1024
+
+
+def _digit_fields(raw: np.ndarray, starts: np.ndarray,
+                  lengths: np.ndarray) -> np.ndarray | None:
+    """int64 values of the fields raw[start : start + length], each 1 to 18
+    ASCII digits, so in [0, 10**18); None when a field is not.
+
+    Horner's rule runs column by column: pass j reads digit j of every field
+    that has one, so there are as many passes as the longest field has
+    digits and no per-row Python.
+    """
+    values = np.zeros(len(starts), np.int64)
+    if not len(starts):
+        return values
+    if lengths.min() < 1 or lengths.max() > 18:
+        return None
+    for j in range(int(lengths.max())):
+        rows = np.flatnonzero(lengths > j) if j else slice(None)
+        digit = raw[starts[rows] + j] - np.uint8(ord("0"))  # wraps past 9
+        if (digit > 9).any():
+            return None
+        values[rows] = values[rows] * 10 + digit
+    return values
+
+
+def _symbol_keys(raw: np.ndarray, starts: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    """One uint64 key per symbol raw[start : start + length]; equal symbols
+    get equal keys.
+
+    A symbol of at most 8 bytes is its bytes packed, which tells apart any
+    two of them, since the text holds no NUL. A longer one is a polynomial
+    hash of its 8-byte words modulo 2**64, built word column by word column.
+    raw must hold 8 bytes past the last symbol.
+    """
+    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))  # raw[i:i+8]
+    keys = words[starts] & _BYTE_MASKS[np.minimum(lengths, 8)]
+    rows, offset = np.flatnonzero(lengths > 8), 8
+    while len(rows):
+        left = lengths[rows] - offset
+        word = words[starts[rows] + offset] & _BYTE_MASKS[np.minimum(left, 8)]
+        keys[rows] = keys[rows] * _HASH_BASE + word
+        rows, offset = rows[left > 8], offset + 8
+    return keys
+
+
+def _graphic(byte: np.ndarray) -> np.ndarray:
+    """Bytes 0x21-0x7E: ASCII characters that str.strip keeps."""
+    return (byte > 0x20) & (byte < 0x7F)
+
+
 def _split_counts(text: str) -> list[int] | None:
-    """The counts of a counts file's text, split column-wise; None when the
-    text needs the per-row parse of _read_counts.
+    """The counts of a counts file's text, parsed as whole numpy columns of
+    its UTF-8 bytes; None when the text needs the per-row parse of
+    _read_counts.
 
     Text with a quote, a NUL (which csv refuses before Python 3.11) or a CR
     is handed over whole. Otherwise csv's default dialect ends a line only
     at "\n" and cuts it at every "," and nowhere else, so the lines can be
-    split as whole columns, with no per-row Python. The text is also handed
-    over when any check fails: a line without exactly one "," (a blank line
-    included), a field longer than csv.field_size_limit() in UTF-8 bytes, a
-    wrong header, a duplicate symbol, a non-integer count or one outside
-    [0, 2**63). This path then accepts only what _read_counts accepts, with
-    the same counts in the same order.
+    cut as whole columns, with no per-row Python. This path takes a text
+    only when its header reads symbol,count and every other line has
+    exactly one ",", every field is within csv.field_size_limit() in UTF-8
+    bytes, every count is 1 to 18 ASCII digits, and every symbol has at most
+    _LONGEST_SYMBOL bytes and, unless empty, starts and ends with a byte in
+    0x21-0x7E (so str.strip keeps it), and gets a key no other symbol has
+    (_symbol_keys). Everything else is handed over: a blank line, a count
+    such as " 7 ", "+5", "1_0", "-1", non-ASCII digits or 19 digits, a
+    symbol with whitespace or a non-ASCII character at either end, a symbol
+    over _LONGEST_SYMBOL bytes, a duplicate symbol, and, rarely, two long
+    symbols whose hashes collide. This path then accepts only what
+    _read_counts accepts, with the same counts in the same order.
     """
     if '"' in text or "\0" in text or "\r" in text:
         return None
     lines = text.rstrip("\n")
-    raw = np.frombuffer(f"{lines}\n".encode(), np.uint8)
+    # 8 bytes of padding let an 8-byte word be read at every field start
+    raw = np.frombuffer(f"{lines}\n".encode() + bytes(8), np.uint8)
     cuts = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     if raw[cuts].tobytes() != b",\n" * (len(cuts) // 2):
         return None
-    # a field's UTF-8 bytes bound its characters, which csv's limit counts
-    if np.diff(cuts, prepend=-1).max() - 1 > csv.field_size_limit():
+    # field j ends at cuts[j], so widths[j - 1] is the UTF-8 length of field
+    # j >= 1; it bounds the field's characters, which csv's limit counts
+    widths = np.diff(cuts) - 1
+    if max(cuts[0], widths.max()) > csv.field_size_limit():
         return None
-    fields = lines.replace("\n", ",").split(",")
-    symbols = fields[2::2]
-    if not _is_header(fields[:2]) or len(set(map(str.strip, symbols))) < len(symbols):
+    if not _is_header(bytes(raw[: cuts[1]]).decode().split(",")):
         return None
-    try:
-        counts = list(map(int, fields[3::2]))
-    except ValueError:
+    # row r >= 1 is fields 2r (its symbol) and 2r + 1 (its count)
+    commas = cuts[2::2]
+    counts = _digit_fields(raw, commas + 1, widths[2::2])
+    if counts is None:
         return None
-    if counts and not (min(counts) >= 0 and max(counts) < 2**63):
+    starts, lengths = cuts[1:-1:2] + 1, widths[1::2]
+    if lengths.max(initial=0) > _LONGEST_SYMBOL or not (
+            (lengths == 0)
+            | _graphic(raw[starts]) & _graphic(raw[commas - 1])).all():
         return None
-    return counts
+    keys = np.sort(_symbol_keys(raw, starts, lengths))
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    return counts.tolist()
 
 
 def _read_counts(path, lines) -> list[int]:
@@ -335,10 +409,15 @@ def ingest_counts(path) -> Fingerprint:
     """Read a symbol,count CSV into a fingerprint (phi0 unknown).
 
     The file is decoded as UTF-8, after a byte-order mark if it has one.
-    Unquoted LF-ended files are split column-wise (_split_counts); quoted
-    files, files with a CR or a blank line, and files that fail a check are
-    read again and parsed row by row (_read_counts), which raises the error.
-    A file that is not UTF-8 is refused with the line of its first bad byte.
+    An unquoted LF-ended file of plain digit counts and distinct symbols of
+    at most 1024 bytes with no space at either end is parsed column-wise by
+    numpy (_split_counts). Any other file is read again and parsed row by
+    row (_read_counts), with the same result, or the error it raises: quoted
+    files, files with a CR or a blank line, counts padded with spaces or
+    written with a sign, "_" or non-ASCII digits, counts of 19 or more
+    digits, symbols with whitespace or a non-ASCII character at either end,
+    longer symbols, and files that fail a check. A file that is not UTF-8 is
+    refused with the line of its first bad byte.
     """
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -365,10 +444,15 @@ def estimate_from_counts(
     """Estimate support size from an empirical counts CSV.
 
     Returns one entry per requested estimator; the Chao entry is None when
-    phi_2 = 0 (undefined). The chebyshev estimator needs k and n.
+    phi_2 = 0 (undefined). The chebyshev estimator needs k and n; k and n
+    are checked whenever they are given, whichever estimators are asked for.
     """
     if not estimators:
         raise ValueError("estimators must be nonempty")
+    if k is not None:
+        check_k(k)
+    if n is not None:
+        check_n(n)
     fp = ingest_counts(path)
     report: dict[str, EstimatorOutput | None] = {}
     for estimator_id in estimators:

@@ -499,6 +499,76 @@ def test_split_and_per_row_parses_agree(tmp_path, text, limit, bom):
         csv.field_size_limit(old_limit)
 
 
+def _per_row_outcome(path, text):
+    """The fingerprint of the per-row parse of text, or its error text."""
+    try:
+        return fingerprint(MultiplicitySample(
+            bench._read_counts(path, io.StringIO(text, newline=""))))
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("rows", [3, 100_000])
+@pytest.mark.parametrize("symbol", ["x{}", "species-{:08d}"],
+                         ids=["short symbols", "9+ byte symbols"])
+def test_plain_files_take_the_column_parse(tmp_path, monkeypatch, rows,
+                                           symbol):
+    # files like the benchmark's, with counts of 1 to 18 digits, never reach
+    # the per-row reader, and read as it reads them
+    rng = np.random.default_rng(rows)
+    counts = rng.poisson(2.0, rows)
+    counts[-3:] = [0, 10**18 - 1, 12345]
+    text = "symbol,count\n" + "".join(
+        f"{symbol.format(j)},{c}\n" for j, c in enumerate(counts.tolist()))
+    path = tmp_path / "counts.csv"
+    path.write_text(text)
+    expected = _per_row_outcome(path, text)
+
+    def per_row(*args):
+        raise AssertionError("handed to the per-row reader")
+
+    monkeypatch.setattr(bench, "_read_counts", per_row)
+    assert ingest_counts(path) == expected == fingerprint(
+        MultiplicitySample(counts))
+
+
+def _hash_collision() -> tuple[str, str]:
+    """Two distinct 16-byte symbols with equal keys: w0 * B + w1 is the same
+    for (w0, w1) and (w0 + 1, w1 - B) modulo 2**64."""
+    w0, w1 = (int.from_bytes(word, "little")
+              for word in (b"aaaaaaaa", b"02aabaaa"))
+    other = [(w0 + 1) % 2**64, (w1 - int(bench._HASH_BASE)) % 2**64]
+    return "aaaaaaaa02aabaaa", b"".join(
+        w.to_bytes(8, "little") for w in other).decode("ascii")
+
+
+@pytest.mark.parametrize("rows", [
+    "a, 7 \nb,2\n", "a,1_0\nb,2\n", "a,+5\nb,2\n", "a,٣\nb,2\n",
+    f"a,{10**18}\nb,2\n", f"a,{2**63}\nb,2\n", "a,1\nb,-1\n",
+    " a,1\nb,2\n", "a\t,1\nb,2\n", "ä,1\nb,2\n", "aä,1\nb,2\n",
+    "a\u00a0,1\na,2\n", "a,1\n a,2\n", "long-symbol,1\nlong-symbol,2\n",
+    "{0},1\n{1},2\n".format(*_hash_collision()),
+    f"{'y' * 1025},1\nb,2\n",
+], ids=["padded count", "count with _", "signed count", "non-ASCII digit",
+        "19 digits", "19 digits past int64", "negative count",
+        "leading space", "trailing tab", "leading non-ASCII",
+        "trailing non-ASCII", "non-ASCII space, duplicate",
+        "duplicate after strip", "long duplicate", "hash collision",
+        "symbol over 1024 bytes"])
+def test_hand_over_cases_match_the_per_row_parse(tmp_path, rows):
+    # each text the column parse leaves alone gets the per-row parse's
+    # fingerprint or error
+    text = "symbol,count\n" + rows
+    path = tmp_path / "counts.csv"
+    path.write_bytes(text.encode())
+    assert bench._split_counts(text) is None
+    try:
+        got = ingest_counts(path)
+    except ValueError as exc:
+        got = str(exc)
+    assert got == _per_row_outcome(path, text)
+
+
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.integers(0, 50), min_size=2, max_size=40))
 def test_counts_csv_round_trip_matches_fingerprint(tmp_path, counts):

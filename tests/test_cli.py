@@ -142,8 +142,9 @@ def test_usage_error_exit_code(capsys):
 
 @pytest.fixture(scope="module")
 def bad_inputs(tmp_path_factory):
-    """A directory of input files to refuse, outside the working directory."""
+    """A directory of input files, outside the working directory."""
     root = tmp_path_factory.mktemp("inputs")
+    (root / "counts.csv").write_text("symbol,count\na,1\nb,1\nc,2\n")
     # a symbol one character longer than csv's field limit
     (root / "long-field.csv").write_text(
         "symbol,count\n" + "x" * (csv.field_size_limit() + 1) + ",1\n")
@@ -178,6 +179,10 @@ BOUNDS_PAST_FLOAT_RANGE = [
     ("dist", "dump", "--family", "two_mixture", "--k", "7"),
     ("estimate", "--counts", "missing-counts.csv"),
     ("estimate", "--counts", "{inputs}/long-field.csv"),
+    # k and n are checked whenever given, not only for chebyshev
+    ("estimate", "--counts", "{inputs}/counts.csv", "--k", "1", "--n", "-5"),
+    ("estimate", "--counts", "{inputs}/counts.csv", "--n", "nan"),
+    ("estimate", "--counts", "{inputs}/counts.csv", "--k", "1"),
     ("verify", "--campaign-size", "-1"),
     ("verify", "--campaign-size", "0"),
     ("sweep", "--master-seed", "-1"),
