@@ -105,7 +105,7 @@ def _draw_cell(
     U uniform on [0, 1), cnt_j = #{x : U_x < F[x, j]} is phi_0 + ... + phi_j.
     Counts at or above width are lumped together; they enter the estimators
     only through seen = support - phi_0. The law is exact up to the float
-    rounding of F.
+    rounding of F, which is computed once per level of P.
 
     Trial t is row t mod BLOCK of block t // BLOCK, whose uniforms come from
     default_rng([master_seed, t // BLOCK]), BLOCK per symbol in symbol order.
@@ -115,7 +115,10 @@ def _draw_cell(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     check_n(n)
-    cdf = special.pdtr(np.arange(width), n * P.probs[:, None])
+    values, lengths = P.levels
+    cdf = special.pdtr(np.arange(width), n * values[:, None])
+    if lengths is not None:
+        cdf = np.repeat(cdf, lengths, axis=0)
     blocks = -(-trials // BLOCK)
     cum = np.zeros((blocks, width, BLOCK), dtype=np.int64)
     for b in range(blocks):
@@ -261,7 +264,7 @@ def _is_header(fields) -> bool:
 _BYTE_MASKS = np.array([256**j - 1 for j in range(9)], np.uint64)
 #: Odd multiplier of the polynomial hash of symbols over 8 bytes.
 _HASH_BASE = np.uint64(0x100000001B3)
-#: Longest symbol, in UTF-8 bytes, that _split_counts takes. The hash makes
+#: Longest symbol, in UTF-8 bytes, that _parse_counts takes. The hash makes
 #: one numpy pass per 8 bytes of the longest symbol, even when it is the only
 #: long one, so a text with a longer symbol goes to the per-row parse.
 _LONGEST_SYMBOL = 1024
@@ -316,10 +319,10 @@ def _graphic(byte: np.ndarray) -> np.ndarray:
     return (byte > 0x20) & (byte < 0x7F)
 
 
-def _split_counts(text: str) -> list[int] | None:
-    """The counts of a counts file's text, parsed as whole numpy columns of
-    its UTF-8 bytes; None when the text needs the per-row parse of
-    _read_counts.
+def _parse_counts(text: str) -> np.ndarray | None:
+    """The int64 counts of a counts file's text, parsed as whole numpy
+    columns of its UTF-8 bytes; None when the text needs the per-row parse
+    of _read_counts.
 
     Text with a quote, a NUL (which csv refuses before Python 3.11) or a CR
     is handed over whole. Otherwise csv's default dialect ends a line only
@@ -365,7 +368,14 @@ def _split_counts(text: str) -> list[int] | None:
     keys = np.sort(_symbol_keys(raw, starts, lengths))
     if (keys[1:] == keys[:-1]).any():
         return None
-    return counts.tolist()
+    return counts
+
+
+def _split_counts(text: str) -> list[int] | None:
+    """The counts of a counts file's text as a list, or None: see
+    _parse_counts."""
+    counts = _parse_counts(text)
+    return None if counts is None else counts.tolist()
 
 
 def _read_counts(path, lines) -> list[int]:
@@ -411,7 +421,7 @@ def ingest_counts(path) -> Fingerprint:
     The file is decoded as UTF-8, after a byte-order mark if it has one.
     An unquoted LF-ended file of plain digit counts and distinct symbols of
     at most 1024 bytes with no space at either end is parsed column-wise by
-    numpy (_split_counts). Any other file is read again and parsed row by
+    numpy (_parse_counts). Any other file is read again and parsed row by
     row (_read_counts), with the same result, or the error it raises: quoted
     files, files with a CR or a blank line, counts padded with spaces or
     written with a sign, "_" or non-ASCII digits, counts of 19 or more
@@ -421,7 +431,7 @@ def ingest_counts(path) -> Fingerprint:
     """
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
-            counts = _split_counts(fh.read())
+            counts = _parse_counts(fh.read())
             if counts is None:
                 fh.seek(0)
                 counts = _read_counts(path, fh)

@@ -7,7 +7,7 @@ strict mode their support is truncated to the largest prefix whose
 renormalized minimum probability still clears the ``1/k`` floor. Lenient mode
 skips the floor and keeps all k symbols.
 check_k is the package's one check of a support bound k >= 2, and exact_sum
-the package's exactly rounded sum of a float array.
+the package's exactly rounded sum of a float array, whose terms may repeat.
 """
 
 from __future__ import annotations
@@ -28,33 +28,49 @@ _FSUM_MAX_TERMS = 1000
 _BIN_MAX_TERMS = 2**26
 
 
-def exact_sum(x: np.ndarray) -> float:
-    """Exactly rounded sum of a 1-D float64 array: the float that
-    math.fsum(x.tolist()) returns, without a Python float per term.
+def exact_sum(x: np.ndarray, counts: np.ndarray | None = None) -> float:
+    """Exactly rounded sum of a 1-D float64 array, each term x[g] taken
+    counts[g] >= 0 times (once without counts): the float that
+    math.fsum(np.repeat(x, counts).tolist()) returns, without a Python float
+    per term.
 
     Each finite term is mant * 2**e (np.frexp, 1/2 <= |mant| < 1), and
     mant * 2**27 splits exactly into hi = floor(mant * 2**27), an integer
-    with |hi| <= 2**27, and lo, a multiple of 2**-26 in [0, 1). Summed per
-    exponent by np.bincount, each partial sum of hi is an integer and each
-    of lo a multiple of 2**-26, below 2**53 times its unit for up to 2**26
-    terms, so every bin is exact. Scaled by 2**(e - 27) a bin is still an
-    exact float, subnormals included, and fsum of these at most two parts
-    per exponent is the exactly rounded total. Arrays of at most 1000 or
-    more than 2**26 terms, terms large enough to overflow an intermediate
-    sum, non-finite terms and a zero total (the bins drop the sign of a
-    zero) go to math.fsum itself.
+    with |hi| <= 2**27, and lo, a multiple of 2**-26 in [0, 1). Times a
+    count c both stay exact: hi * c is an integer of at most 2**27 * c and lo * c
+    a multiple of 2**-26 below c. Summed per exponent by np.bincount, each
+    partial sum of hi is an integer and each of lo a multiple of 2**-26,
+    below 2**53 times its unit for up to 2**26 terms, so every bin is exact.
+    Scaled by 2**(e - 27) a bin is still an exact float, subnormals
+    included, and fsum of these at most two parts per exponent is the
+    exactly rounded total. Sums of at most 1000 or more than 2**26 terms,
+    terms large enough to overflow an intermediate sum, non-finite terms and
+    a zero total (the bins drop the sign of a zero) go to math.fsum itself.
     """
-    if _FSUM_MAX_TERMS < len(x) <= _BIN_MAX_TERMS:
+    if counts is None:
+        terms = len(x)
+    else:
+        if counts.shape != x.shape or counts.dtype.kind not in "iu":
+            raise ValueError("counts must be whole numbers, one per term")
+        terms = int(counts.sum())
+    if _FSUM_MAX_TERMS < terms <= _BIN_MAX_TERMS:
+        # below the floor, x.repeat refuses a negative count itself
+        if counts is not None and counts.min() < 0:
+            raise ValueError("counts must be >= 0")
         lo, exp = np.frexp(x)
         exp = exp.astype(np.intp)
         low, high = int(exp.min()), int(exp.max())
         # sum |x| < 2**(high + bits) keeps both sums clear of overflow
-        if high + len(x).bit_length() <= 1020:
+        if high + terms.bit_length() <= 1020:
             exp -= low
-            with np.errstate(invalid="ignore"):  # inf - inf on an inf term
+            # inf - inf, and inf * 0 with a count, on an inf term
+            with np.errstate(invalid="ignore"):
                 lo *= 2.0**27
                 hi = np.floor(lo)
                 lo -= hi
+                if counts is not None:
+                    hi *= counts
+                    lo *= counts
             scale = np.arange(low - 27, high - 26)
             parts = np.concatenate([np.ldexp(np.bincount(exp, hi), scale),
                                     np.ldexp(np.bincount(exp, lo), scale)])
@@ -63,7 +79,23 @@ def exact_sum(x: np.ndarray) -> float:
                 total = math.fsum(parts.tolist())
                 if total:
                     return total
+    if counts is not None:
+        x = x.repeat(counts)
     return math.fsum(x.tolist())
+
+
+def _runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(values, lengths) of the runs of equal adjacent entries of x, so that
+    np.repeat(values, lengths) is x; lengths is None, and values x itself,
+    when no two adjacent entries are equal. Equal entries that are not
+    adjacent stay in runs of their own."""
+    edge = np.empty(len(x) + 1, bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(x[1:], x[:-1], out=edge[1:-1])
+    cuts = np.flatnonzero(edge)  # the start of every run, then len(x)
+    if len(cuts) > len(x):
+        return x, None
+    return x[cuts[:-1]], cuts[1:] - cuts[:-1]
 
 
 @dataclass(frozen=True)
@@ -74,12 +106,18 @@ class DiscreteDistribution:
         probs: strictly positive probabilities, one per supported symbol.
         k: the floor parameter; in strict mode every entry is >= 1/k.
         strict: whether the 1/k floor was enforced at construction.
+        levels: (values, lengths), the runs of equal adjacent entries of
+            probs (see _runs): per-symbol sums run over values, each taken
+            lengths times. The zoo is built as runs, so uniform has one
+            level and two_mixture two.
     """
 
     probs: np.ndarray
     k: int
     strict: bool = True
     family: str | None = field(default=None, compare=False)
+    levels: tuple[np.ndarray, np.ndarray | None] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -91,7 +129,12 @@ class DiscreteDistribution:
             raise ValueError("probs must be a nonempty 1-D vector")
         if not np.all(probs > 0):
             raise ValueError("zero, negative or NaN probabilities are not allowed")
-        total = exact_sum(probs)
+        values, lengths = _runs(probs)
+        values.flags.writeable = False
+        if lengths is not None:
+            lengths.flags.writeable = False
+        object.__setattr__(self, "levels", (values, lengths))
+        total = exact_sum(values, lengths)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         if self.strict:
@@ -179,5 +222,5 @@ def make_distribution(
             weights = weights[: _truncated_support(weights, k)]
     except (ValueError, OverflowError, MemoryError) as exc:
         raise ValueError(f"cannot build the {family} zoo at k={k}: {exc}") from None
-    probs = weights / exact_sum(weights)
+    probs = weights / exact_sum(*_runs(weights))
     return DiscreteDistribution(probs=probs, k=k, strict=strict, family=family)

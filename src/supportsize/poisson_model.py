@@ -8,10 +8,11 @@ known.
 
 Moment calculators are exact closed forms: each phi_i is a sum of independent
 Bernoulli indicators, so its mean and second moment follow from per-symbol
-Poisson pmf values. Sums over symbols use distributions.exact_sum, which is
-exactly rounded, so large supports do not accumulate error: it returns the
-float math.fsum(x.tolist()) returns, from per-exponent numpy sums rather
-than one Python float per symbol.
+Poisson pmf values. A pmf is evaluated once per level of P (P.levels, the
+runs of equal masses), and sums over symbols use distributions.exact_sum
+with each level's multiplicity. It is exactly rounded, so large supports do
+not accumulate error: it returns what math.fsum returns on the per-symbol
+terms, from per-exponent numpy sums rather than one Python float per symbol.
 
 Every Poisson probability in the library comes from scipy.special: the pmf
 is poisson_pmf below, and cdfs and upper tails are pdtr and pdtrc.
@@ -119,14 +120,18 @@ def poisson_pmf(j, mu) -> np.ndarray:
 
 
 def _pmf(P: DiscreteDistribution, n: float, i: int) -> np.ndarray:
-    """Per-symbol Poisson pmf of i at mean n*p_x (see poisson_pmf)."""
+    """Poisson pmf of i at mean n*p (see poisson_pmf), one value per level
+    of P: P.levels[1] gives how many symbols share it."""
     check_n(n)
-    return poisson_pmf(i, n * P.probs)
+    if not (i >= 0 and i % 1 == 0):
+        raise ValueError(f"prevalence index i must be a whole number >= 0, "
+                         f"got {i}")
+    return poisson_pmf(i, n * P.levels[0])
 
 
 def expected_prevalence(P: DiscreteDistribution, n: float, i: int) -> float:
     """E[phi_i] = sum_x exp(-n p_x) (n p_x)^i / i!"""
-    return exact_sum(_pmf(P, n, i))
+    return exact_sum(_pmf(P, n, i), P.levels[1])
 
 
 def prevalence_second_moment(P: DiscreteDistribution, n: float, i: int) -> float:
@@ -135,8 +140,8 @@ def prevalence_second_moment(P: DiscreteDistribution, n: float, i: int) -> float
     Equals (E[phi_i])^2 + sum_x q_x (1 - q_x) with q_x the per-symbol pmf.
     """
     q = _pmf(P, n, i)
-    mu = exact_sum(q)
-    return mu * mu + exact_sum(q * (1.0 - q))
+    mu = exact_sum(q, P.levels[1])
+    return mu * mu + exact_sum(q * (1.0 - q), P.levels[1])
 
 
 def exact_plugin_mse(P: DiscreteDistribution, n: float) -> float:

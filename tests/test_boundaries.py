@@ -15,7 +15,8 @@ import pytest
 from supportsize.bench import (SweepConfig, estimate_from_counts, ingest_counts,
                                monte_carlo_mse)
 from supportsize.bounds import bound_report, high_collision_bound, sigma_of
-from supportsize.distributions import DiscreteDistribution, make_distribution
+from supportsize.distributions import (DiscreteDistribution, exact_sum,
+                                       make_distribution)
 from supportsize.estimators import (chebyshev_coefficients, support_estimate,
                                     unseen_estimates)
 from supportsize.oracle import (
@@ -34,7 +35,9 @@ from supportsize.oracle import (
     moment_coefficients,
     phi_squared,
 )
-from supportsize.poisson_model import Fingerprint, MultiplicitySample, fingerprint
+from supportsize.poisson_model import (Fingerprint, MultiplicitySample,
+                                       expected_prevalence, fingerprint,
+                                       prevalence_second_moment)
 
 INF, NAN = math.inf, math.nan
 FP = Fingerprint({1: 3, 2: 1})
@@ -137,6 +140,19 @@ CASES = {
     "SweepConfig estimators=()": lambda: SweepConfig(estimators=()),
     "estimate_from_counts no estimators":
         lambda: estimate_from_counts(counts_file("symbol,count\na,1\n"), ()),
+    **{f"{moment.__name__} i={i}":
+       (lambda moment=moment, i=i:
+        moment(make_distribution("uniform", 100), 50.0, i))
+       for moment in (expected_prevalence, prevalence_second_moment)
+       for i in (-1, 1.5, NAN, INF)},
+    "exact_sum negative count":
+        lambda: exact_sum(np.ones(2), np.array([2000, -1])),
+    "exact_sum negative count below the fsum floor":
+        lambda: exact_sum(np.ones(2), np.array([3, -1])),
+    "exact_sum fractional count":
+        lambda: exact_sum(np.ones(2), np.array([1500.0, 0.5])),
+    "exact_sum one count for two terms":
+        lambda: exact_sum(np.ones(2), np.array([1500])),
     "ingest_counts 3-field row":
         lambda: ingest_counts(counts_file("symbol,count\na,1,2\n")),
 }

@@ -151,10 +151,10 @@ def same_float(a, b):
 
 
 @st.composite
-def float_arrays(draw):
+def float_arrays(draw, sizes=st.integers(1, 1000) | st.integers(1001, 3000)):
     """Finite float64 arrays on both sides of exact_sum's fsum floor, built
     from one drawn seed so that a 3000-term example stays cheap."""
-    size = draw(st.integers(1, 1000) | st.integers(1001, 3000))
+    size = draw(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     low = draw(st.integers(-1130, 990))
     high = draw(st.integers(low, min(low + 300, 1000)))
@@ -190,6 +190,93 @@ def test_exact_sum_on_analyze_counts_rows(family):
                 q = poisson_pmf(i, n * P.probs)
                 for x in (q, q * (1.0 - q)):
                     assert same_float(exact_sum(x), math.fsum(x.tolist()))
+
+
+def fsum_of_repeats(x, counts):
+    return math.fsum(np.repeat(x, counts).tolist())
+
+
+@st.composite
+def counted_arrays(draw):
+    """(x, counts) whose expanded term count, counts.sum(), falls on both
+    sides of exact_sum's fsum floor: few values taken many times, or many
+    values taken once."""
+    x = draw(float_arrays(st.integers(1, 40) | st.integers(1001, 1200)))
+    if draw(st.booleans()):
+        return x, np.ones(len(x), np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    total = draw(st.integers(0, 1000) | st.integers(1001, 5000))
+    return x, rng.multinomial(total, np.full(len(x), 1.0 / len(x)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(counted_arrays())
+@example((np.array([-0.0]), np.array([1500])))
+@example((np.array([1.0, -1.0, 0.0]), np.array([3000, 3000, 7])))
+@example((np.array([5e-324, 2.0**-1060]), np.array([2000, 3])))
+@example((np.array([1.0 - 2.0**-53, 2.0**-80]), np.array([1, 1001])))
+@example((np.array([0.1, 0.3]), np.array([1000, 0])))
+def test_weighted_exact_sum_is_fsum_of_repeats(case):
+    x, counts = case
+    assert same_float(exact_sum(x, counts), fsum_of_repeats(x, counts))
+
+
+def outcome(sum_, x, counts):
+    """The value of a sum, sign of zero included, or the error it raises."""
+    try:
+        total = sum_(np.array(x), np.array(counts))
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(total) else (total, math.copysign(1.0, total))
+
+
+@pytest.mark.parametrize("x, counts", [
+    ([math.inf, 1.0], [1, 1500]),
+    ([math.nan, 1.0], [2, 1500]),
+    ([math.inf, 1.0], [0, 1500]),  # a term taken 0 times is no term
+    ([math.nan, -math.inf, 1.0], [0, 1, 1500]),
+    ([math.inf, -math.inf, 1.0], [1, 1, 1500]),  # fsum refuses inf - inf
+    # as test_exact_sum_near_overflow_is_fsum, with the terms repeated
+    ([1e308, -1e308, 0.0], [2, 1, 1500]),
+])
+def test_weighted_exact_sum_of_extreme_terms_is_fsum_of_repeats(x, counts):
+    assert outcome(exact_sum, x, counts) == outcome(fsum_of_repeats, x, counts)
+
+
+def test_weighted_exact_sum_counts_terms_against_the_bin_bound(monkeypatch):
+    # the bound is on the expanded terms, counts.sum(), not on len(x)
+    def kernel(*args):
+        raise AssertionError("kernel called")
+
+    x = np.random.default_rng(0).standard_normal(20)
+    counts = np.full(20, 100)
+    monkeypatch.setattr(distributions, "_BIN_MAX_TERMS", 1500)
+    monkeypatch.setattr(np, "frexp", kernel)
+    assert exact_sum(x, counts) == fsum_of_repeats(x, counts)
+    with pytest.raises(AssertionError, match="kernel called"):
+        exact_sum(x, counts // 2 + 10)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_levels_expand_to_probs(family):
+    for k in (10**3, 10**4, 10**5):
+        P = make_distribution(family, k)
+        values, lengths = P.levels
+        if family in ("zipf", "geometric"):
+            assert lengths is None and values is P.probs
+        else:
+            assert len(values) == {"uniform": 1, "two_mixture": 2}[family]
+            assert np.repeat(values, lengths).tobytes() == P.probs.tobytes()
+
+
+def test_levels_merge_only_adjacent_masses():
+    P = DiscreteDistribution(np.array([0.25, 0.5, 0.25]), k=4)
+    assert P.levels[1] is None
+    P = DiscreteDistribution(np.array([0.1, 0.3, 0.3, 0.1, 0.1, 0.05, 0.05]),
+                             k=10, strict=False)
+    values, lengths = P.levels
+    assert values.tolist() == [0.1, 0.3, 0.1, 0.05]
+    assert lengths.tolist() == [1, 2, 2, 2]
 
 
 def test_exact_sum_past_the_bin_bound_takes_fsum(monkeypatch):

@@ -21,6 +21,7 @@ from supportsize.poisson_model import (
     exact_plugin_mse,
     expected_prevalence,
     fingerprint,
+    poisson_pmf,
     prevalence_second_moment,
     sample,
 )
@@ -159,6 +160,23 @@ def test_moments_match_scipy_stats_pmf_bitwise(weights, n, i):
     mu = math.fsum(q)
     assert expected_prevalence(P, n, i) == mu
     assert prevalence_second_moment(P, n, i) == mu * mu + math.fsum(q * (1.0 - q))
+
+
+@pytest.mark.parametrize("probs", [
+    [0.25, 0.5, 0.25],  # equal masses that are not adjacent
+    [0.1, 0.3, 0.3, 0.1, 0.1, 0.05, 0.05],  # unsorted runs
+    # 2000 symbols in random order, so short runs above the fsum floor
+    np.random.default_rng(0).permutation(make_distribution("two_mixture", 4000).probs),
+])
+def test_moments_over_levels_equal_per_symbol_fsum(probs):
+    P = DiscreteDistribution(np.array(probs), k=4000, strict=False)
+    for n in (0.5, 3.0, 40.0, 4000.0):
+        for i in range(4):
+            q = poisson_pmf(i, n * P.probs)
+            mu = math.fsum(q.tolist())
+            assert expected_prevalence(P, n, i) == mu
+            assert prevalence_second_moment(P, n, i) == (
+                mu * mu + math.fsum((q * (1.0 - q)).tolist()))
 
 
 def test_import_leaves_scipy_stats_unloaded():
