@@ -43,9 +43,12 @@ def exact_sum(x: np.ndarray, counts: np.ndarray | None = None) -> float:
     below 2**53 times its unit for up to 2**26 terms, so every bin is exact.
     Scaled by 2**(e - 27) a bin is still an exact float, subnormals
     included, and fsum of these at most two parts per exponent is the
-    exactly rounded total. Sums of at most 1000 or more than 2**26 terms,
-    terms large enough to overflow an intermediate sum, non-finite terms and
-    a zero total (the bins drop the sign of a zero) go to math.fsum itself.
+    exactly rounded total. The bins drop the sign of a zero, so a zero
+    total is answered from the terms instead: +0.0 when some term is not a
+    zero, else fsum of a single zero, -0.0 when every term is -0.0 and +0.0
+    otherwise, which gives fsum's sign for zeros alone. Sums of
+    at most 1000 or more than 2**26 terms, terms large enough to overflow an
+    intermediate sum and non-finite terms go to math.fsum itself.
     """
     if counts is None:
         terms = len(x)
@@ -79,6 +82,12 @@ def exact_sum(x: np.ndarray, counts: np.ndarray | None = None) -> float:
                 total = math.fsum(parts.tolist())
                 if total:
                     return total
+                # an exact zero: terms that are not all zeros cancel to
+                # +0.0, and zeros alone sum to fsum's zero of their signs
+                taken = x if counts is None else x[counts > 0]
+                if taken.any():
+                    return 0.0
+                return math.fsum([-0.0 if np.signbit(taken).all() else 0.0])
     if counts is not None:
         x = x.repeat(counts)
     return math.fsum(x.tolist())

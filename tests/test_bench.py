@@ -15,7 +15,8 @@ from supportsize.bench import (
     BLOCK,
     CSV_HEADER,
     SweepConfig,
-    _draw_cell,
+    _cell_cdf,
+    _draw_cells,
     estimate_from_counts,
     ingest_counts,
     load_config,
@@ -47,6 +48,13 @@ from supportsize.poisson_model import (
 )
 
 
+def draw_cell(P, n, trials, master_seed, width):
+    """The occupancy matrix of one (P, n) cell, drawn alone as
+    monte_carlo_mse draws it."""
+    (occupancy,) = _draw_cells([_cell_cdf(P, n, width)], trials, master_seed)
+    return occupancy
+
+
 def test_monte_carlo_deterministic():
     P = make_distribution("zipf", 100)
     a = monte_carlo_mse(P, 200.0, "modified_chao", trials=500, master_seed=3)
@@ -72,7 +80,7 @@ def test_monte_carlo_agrees_with_direct_estimators():
     n, seed, trials = 90.0, 17, 40
     width = occupancy_width(P.k)
     fps = []
-    for row in _draw_cell(P, n, trials, seed, width).tolist():
+    for row in draw_cell(P, n, trials, seed, width).tolist():
         phi = dict(enumerate(row))
         phi0 = phi.pop(0)
         phi[width] = len(P) - phi0 - sum(phi.values())
@@ -115,7 +123,7 @@ def test_draw_cell_matches_exact_joint_law():
         bins = [key for key in law if key not in pooled]
         index = {key: i for i, key in enumerate(bins)}
         observed = np.zeros(len(bins) + 1)
-        for row in map(tuple, _draw_cell(P, n, trials, case, 3).tolist()):
+        for row in map(tuple, draw_cell(P, n, trials, case, 3).tolist()):
             observed[index.get(row, len(bins))] += 1
         expected = [trials * law[key] for key in bins] + [pool]
         p_value = stats.chisquare(observed, expected).pvalue
@@ -130,7 +138,7 @@ def test_draw_cell_prevalence_means(family):
     P = make_distribution(family, k)
     width = occupancy_width(k)
     for n in (k / 4, 2.0 * k, 8.0 * k):
-        occupancy = _draw_cell(P, n, trials, 1, width)
+        occupancy = draw_cell(P, n, trials, 1, width)
         for j in range(width):
             mu = expected_prevalence(P, n, j)
             var = max(prevalence_second_moment(P, n, j) - mu * mu, 0.0)
@@ -141,9 +149,9 @@ def test_draw_cell_prevalence_means(family):
 
 def test_draw_cell_rows_do_not_depend_on_trial_count():
     P = make_distribution("geometric", 500)
-    full = _draw_cell(P, 700.0, 4 * BLOCK + 3, 8, 4)
+    full = draw_cell(P, 700.0, 4 * BLOCK + 3, 8, 4)
     for trials in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK - 5):
-        np.testing.assert_array_equal(_draw_cell(P, 700.0, trials, 8, 4),
+        np.testing.assert_array_equal(draw_cell(P, 700.0, trials, 8, 4),
                                       full[:trials])
 
 
@@ -151,9 +159,9 @@ def test_draw_cell_does_not_depend_on_symbol_chunk(monkeypatch):
     # uniforms are consumed symbol by symbol, so the chunk size that bounds
     # a block's memory changes no draw
     P = make_distribution("zipf", 200)
-    full = _draw_cell(P, 300.0, BLOCK + 5, 2, 4)
+    full = draw_cell(P, 300.0, BLOCK + 5, 2, 4)
     monkeypatch.setattr(bench, "_SYMBOL_CHUNK", 7)
-    np.testing.assert_array_equal(_draw_cell(P, 300.0, BLOCK + 5, 2, 4), full)
+    np.testing.assert_array_equal(draw_cell(P, 300.0, BLOCK + 5, 2, 4), full)
 
 
 def test_draw_cell_memory_is_bounded_per_block():
@@ -162,11 +170,28 @@ def test_draw_cell_memory_is_bounded_per_block():
     P = make_distribution("uniform", 10**5)
     tracemalloc.start()
     try:
-        _draw_cell(P, 2e5, 2 * BLOCK, 0, occupancy_width(P.k))
+        draw_cell(P, 2e5, 2 * BLOCK, 0, occupancy_width(P.k))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < BLOCK * P.k * 8 / 2
+
+
+def test_sweep_memory_is_bounded_per_block(tmp_path):
+    # the sweep's shared draw still holds one symbol chunk of uniforms at a
+    # time, not a whole (BLOCK x k) block; on top of that it keeps the
+    # running counts of every cell
+    cfg = SweepConfig(k=10**5, n_grid=(2e5,), trials=2 * BLOCK,
+                      output_path=str(tmp_path / "sweep.csv"))
+    cells = len(cfg.families) * len(cfg.n_grid)
+    counts = cells * 2 * BLOCK * occupancy_width(cfg.k) * 8
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < BLOCK * cfg.k * 8 / 2 + counts
 
 
 def test_squared_error_identity():
@@ -192,7 +217,8 @@ def test_chao_undefined_trials_reported():
 
 def test_all_trials_undefined_raises():
     P = make_distribution("uniform", 50)
-    with pytest.raises(UndefinedEstimateError):
+    with pytest.raises(UndefinedEstimateError, match=(
+            "^chao is undefined on every trial of uniform at k=50, n=1e-06$")):
         monte_carlo_mse(P, 1e-6, "chao", trials=20, master_seed=0)
 
 
@@ -229,6 +255,28 @@ def test_shared_draws_match_per_estimator_rows(tmp_path):
                                       cfg.master_seed)
     chao = [r for r in rows if r.estimator_id == "chao"]
     assert any(0 < r.undefined_count < cfg.trials for r in chao)
+
+
+@pytest.mark.parametrize("k, chunk", [(1000, None), (60, 7)])
+def test_sweep_rows_equal_one_cell_rows(k, chunk, tmp_path, monkeypatch):
+    # a sweep draws each block's uniforms once, up to its largest support,
+    # and a cell with S symbols counts against the first S * BLOCK of them;
+    # with supports of four sizes, some ending mid-chunk, and a partial last
+    # block, every row must equal the row of its cell drawn alone
+    if chunk is not None:
+        monkeypatch.setattr(bench, "_SYMBOL_CHUNK", chunk)
+    cfg = SweepConfig(k=k, n_grid=(k / 4, 3.0 * k), trials=2 * BLOCK + 37,
+                      master_seed=9, output_path=str(tmp_path / "sweep.csv"))
+    dists = {family: make_distribution(family, k) for family in cfg.families}
+    sizes = {len(P) for P in dists.values()}
+    assert len(sizes) == 4
+    assert any(size % bench._SYMBOL_CHUNK for size in sizes)
+    rows = run_sweep(cfg)
+    assert len(rows) == 4 * 2 * len(cfg.estimators)
+    for row in rows:
+        assert row == monte_carlo_mse(dists[row.family], row.n,
+                                      row.estimator_id, cfg.trials,
+                                      cfg.master_seed)
 
 
 @pytest.mark.skipif(np.__version__.split(".")[:2] != ["2", "4"],

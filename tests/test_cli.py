@@ -175,6 +175,8 @@ BOUNDS_PAST_FLOAT_RANGE = [
     ("sweep", "--families", ","),
     ("sweep", "--estimators", ","),
     ("sweep", "--k", "thirty"),
+    # phi_2 = 0 on every trial of a cell with n far above k
+    ("sweep", "--k", "60", "--estimators", "chao", "--trials", "50"),
     ("dist", "dump", "--family", "uniform", "--k", "1"),
     ("dist", "dump", "--family", "two_mixture", "--k", "7"),
     ("estimate", "--counts", "missing-counts.csv"),
@@ -208,6 +210,8 @@ def test_bad_input_is_one_error_line(argv, bad_inputs, tmp_path, monkeypatch,
       for argv in BOUNDS_PAST_FLOAT_RANGE),
     (("sweep", "--master-seed", "-1"), "master_seed must be >= 0, got -1"),
     (("verify", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("sweep", "--k", "60", "--estimators", "chao", "--trials", "50"),
+     "chao is undefined on every trial of uniform at k=60, n=1104"),
     # numpy refuses a zoo of 10^30 symbols before allocating anything
     (("bounds", "--n", "2000", "--k", str(10**30), "--family", "zipf"),
      f"zipf zoo at k={10**30}:"),

@@ -293,6 +293,34 @@ def test_exact_sum_past_the_bin_bound_takes_fsum(monkeypatch):
         exact_sum(x[:1200])
 
 
+@pytest.mark.parametrize("x, counts", [
+    ([0.0, 0.0], [700, 800]),
+    ([-0.0], [1500]),
+    ([-0.0, 0.0], [900, 600]),
+    ([-0.0, 5.0], [1500, 0]),  # a term taken 0 times is no term
+    ([1.0, -0.5, -0.0], [1000, 2000, 3]),
+    ([0.1, -0.1], [1200, 1200]),
+    (np.zeros(1500), None),
+    (-np.zeros(1500), None),
+    (np.tile([2.5, -2.5], 700), None),
+])
+def test_exact_sum_of_zero_is_fsum_without_repeats(x, counts, monkeypatch):
+    # a zero total takes its sign from the terms, not from an fsum over
+    # every repeated term
+    x = np.array(x)
+    counts = None if counts is None else np.array(counts)
+    expected = (math.fsum(x.tolist()) if counts is None
+                else fsum_of_repeats(x, counts))
+    fsum = math.fsum
+
+    def short_fsum(terms):
+        assert len(terms) <= 1000, "fsum over the repeated terms"
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", short_fsum)
+    assert same_float(exact_sum(x, counts), expected)
+
+
 def test_exact_sum_near_overflow_is_fsum():
     # fsum overflows on its running sum 2e308 although the total is 1e308;
     # per-exponent bins would cancel first, so terms this large take fsum
