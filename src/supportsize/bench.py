@@ -406,13 +406,6 @@ def _parse_counts(text: str) -> np.ndarray | None:
     return counts
 
 
-def _split_counts(text: str) -> list[int] | None:
-    """The counts of a counts file's text as a list, or None: see
-    _parse_counts."""
-    counts = _parse_counts(text)
-    return None if counts is None else counts.tolist()
-
-
 def _read_counts(path, lines) -> list[int]:
     """The counts of a counts file, parsed row by row with csv's default
     dialect from its lines (a file opened with newline=""). It is the one

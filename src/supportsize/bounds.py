@@ -45,13 +45,6 @@ class BoundReport:
     high_collision: float | None = None
 
 
-def _check_n_k(n: float, k: int, *, allow_zero_n: bool = False) -> None:
-    """Bound entry points take a finite n > 0 (n >= 0 where the bound is
-    defined at n = 0) and k >= 2."""
-    check_n(n, allow_zero=allow_zero_n)
-    check_k(k)
-
-
 @lru_cache(maxsize=1)
 def solve_alpha() -> float:
     """Unique positive root of u^2 = 4 e^{-(u+2)}, about 0.5569.
@@ -86,7 +79,8 @@ def plugin_mse_bounds(n: float, k: int) -> tuple[float, float]:
     upper = k^2 e^{-2n/k} + k e^{-n/k}; lower subtracts k e^{-2n/k} and is
     attained exactly by the uniform distribution on k symbols.
     """
-    _check_n_k(n, k, allow_zero_n=True)
+    check_n(n, allow_zero=True)
+    check_k(k)
     e1 = math.exp(-n / k)
     e2 = math.exp(-2.0 * n / k)
     upper = k * k * e2 + k * e1
@@ -95,7 +89,8 @@ def plugin_mse_bounds(n: float, k: int) -> tuple[float, float]:
 
 def epsilon_term(n: float, k: int) -> float:
     """The additive error term in the modified-Chao worst-case bound."""
-    _check_n_k(n, k)
+    check_n(n)
+    check_k(k)
     thresh = n ** 0.8 - math.sqrt(4.0 / math.pi)
     if thresh <= 0:
         raise BoundInapplicableError(
@@ -113,7 +108,8 @@ def epsilon_term(n: float, k: int) -> float:
 
 def chao_mse_leading_term(n: float, k: int) -> float:
     """The dominant term of the modified-Chao worst-case MSE bound."""
-    _check_n_k(n, k)
+    check_n(n)
+    check_k(k)
     alpha = solve_alpha()
     return k * k * (1.0 + n / (k * alpha)) ** -4 * math.exp(-2.0 * n / k)
 
@@ -153,7 +149,8 @@ def bias_bounds(n: float, k: int) -> tuple[float, float, float]:
     lower = -k e^{-n/k} / (1 + n/(k alpha))^2, upper = k/n, and sq_upper
     bounds the square of the bias term.
     """
-    _check_n_k(n, k)
+    check_n(n)
+    check_k(k)
     alpha = solve_alpha()
     denom = 1.0 + n / (k * alpha)
     lower = -k * math.exp(-n / k) / denom**2
@@ -168,7 +165,8 @@ LOW_COLLISION_A = 1.0 / (1.0 - 2.0 * math.exp(-2.0)) ** 4
 
 def low_collision_bound(e_phi2: float, n: float, k: int) -> float:
     """MSE bound as a quadratic in E[phi_2], valid for any distribution."""
-    _check_n_k(n, k)
+    check_n(n)
+    check_k(k)
     a = LOW_COLLISION_A
     r = k / n
     return (
@@ -181,7 +179,8 @@ def low_collision_bound(e_phi2: float, n: float, k: int) -> float:
 def low_collision_bound_at_threshold(n: float, k: int) -> float:
     """The low-collision bound with E[phi_2] replaced by its n^(4/5) cap,
     using the rounded coefficients as published (21.21 k^2/n^2 term)."""
-    _check_n_k(n, k)
+    check_n(n)
+    check_k(k)
     if n < 1:
         raise ValueError("n must be >= 1")
     return (
@@ -202,7 +201,8 @@ def bound_report(
     moments of P; the high-collision bound stays None if its hypothesis
     fails, and the combined worst-case total stays None when n is too small.
     """
-    _check_n_k(n, k)
+    check_n(n)
+    check_k(k)
     plugin_lower, plugin_upper = plugin_mse_bounds(n, k)
     try:
         total, eps = chao_mse_upper(n, k)

@@ -232,11 +232,12 @@ def check_decoupling_lower(
     """E[poly * f(linear)] >= E[poly] * E[f(linear + d)] for non-increasing f."""
     pv = inst.poly_values(poly)
     lv = inst.linear_values(lin)
-    _assert_non_increasing(f, lv)
+    _assert_non_increasing(f, np.unique(lv))
     p = inst.probs
-    lhs = float((pv * f(lv)) @ p)
-    rhs = float(pv @ p) * float(f(lv + poly.degree) @ p)
-    slack = _rounding_slack(pv * f(lv), pv, f(lv + poly.degree))
+    pf, shifted = pv * f(lv), f(lv + poly.degree)
+    lhs = float(pf @ p)
+    rhs = float(pv @ p) * float(shifted @ p)
+    slack = _rounding_slack(pf, pv, shifted)
     return _certify("decoupling_lower", lhs - rhs, slack, lhs, rhs)
 
 
@@ -247,8 +248,9 @@ def check_decoupling_upper_concave(
     non-increasing f, provided E[linear] >= d sigma."""
     pv = inst.poly_values(poly)
     lv = inst.linear_values(lin)
-    _assert_non_increasing(f, lv)
-    _assert_concave(f, lv)
+    support = np.unique(lv)
+    _assert_non_increasing(f, support)
+    _assert_concave(f, support)
     p = inst.probs
     d_sigma = poly.degree * sigma_of(lin.coeffs)
     e_lin = float(lv @ p)
@@ -257,9 +259,10 @@ def check_decoupling_upper_concave(
             "decoupling_upper_concave",
             f"E[linear]={e_lin:.4f} < d*sigma={d_sigma:.4f}",
         )
-    lhs = float((pv * f(lv)) @ p)
+    pf = pv * f(lv)
+    lhs = float(pf @ p)
     rhs = float(pv @ p) * float(f(np.array(e_lin - d_sigma)))
-    slack = _rounding_slack(pv * f(lv), pv, lv)
+    slack = _rounding_slack(pf, pv, lv)
     return _certify("decoupling_upper_concave", rhs - lhs, slack, lhs, rhs)
 
 
@@ -294,11 +297,12 @@ def check_domination_upper(
             "domination_upper",
             f"E[linear]={e_lin:.4f} <= d*sigma={d_sigma:.4f}",
         )
-    lhs = float((pv * f(lv)) @ p)
+    pf = pv * f(lv)
+    lhs = float(pf @ p)
     rhs = float(pv @ p) * math.fsum(
         coeff * (e_lin - d_sigma) ** -t for t, coeff in enumerate(fprime)
     )
-    slack = _rounding_slack(pv * f(lv), pv, lv)
+    slack = _rounding_slack(pf, pv, lv)
     return _certify("domination_upper", rhs - lhs, slack, lhs, rhs)
 
 
@@ -325,17 +329,15 @@ def charpoly(supports) -> tuple[np.ndarray, np.ndarray]:
     return np.ravel(values), np.ravel(masses)
 
 
-def check_charpoly_integral(supports, u: float) -> Certificate:
-    """integral_0^u E[z^X] dz <= E[X]^{-1} E[u^X] for u in (0, 1].
+def check_charpoly_integral(law, u: float) -> Certificate:
+    """integral_0^u E[z^X] dz <= E[X]^{-1} E[u^X] for u in (0, 1], where law
+    is the (values, masses) pair that charpoly returns.
 
     The integral is exact: each z^s term integrates to u^{s+1}/(s+1).
     """
     if not 0.0 < u <= 1.0:
         raise ValueError("u must lie in (0, 1]")
-    return _charpoly_integral(*charpoly(supports), u)
-
-
-def _charpoly_integral(values, masses, u: float) -> Certificate:
+    values, masses = law
     ex = math.fsum(values * masses)
     if ex <= 0:
         return _skip("charpoly_integral", "E[X] = 0")
@@ -348,12 +350,10 @@ def _charpoly_integral(values, masses, u: float) -> Certificate:
     return _certify("charpoly_integral", rhs - lhs, slack, lhs, rhs)
 
 
-def check_inverse_falling_moments(supports, max_r: int = 3) -> Certificate:
-    """E[prod_{j=1..r} (X + j)^{-1}] <= E[X]^{-r} for r = 1..max_r."""
-    return _inverse_falling_moments(*charpoly(supports), max_r)
-
-
-def _inverse_falling_moments(values, masses, max_r: int) -> Certificate:
+def check_inverse_falling_moments(law, max_r: int = 3) -> Certificate:
+    """E[prod_{j=1..r} (X + j)^{-1}] <= E[X]^{-r} for r = 1..max_r, where law
+    is the (values, masses) pair that charpoly returns."""
+    values, masses = law
     ex = math.fsum(values * masses)
     if ex <= 0:
         return _skip("inverse_falling_moments", "E[X] = 0")
@@ -500,20 +500,18 @@ def f_neg_identity(x):
     return -np.asarray(x, dtype=float)
 
 
-def _assert_non_increasing(f, xs: np.ndarray):
-    xs = np.unique(xs)
-    vals = f(xs)
-    if np.any(np.diff(vals) > 1e-12):
+def _assert_non_increasing(f, support: np.ndarray):
+    """support: the sorted distinct values of the linear functional."""
+    if np.any(np.diff(f(support)) > 1e-12):
         raise ValueError("f is not non-increasing on the enumerated support")
 
 
-def _assert_concave(f, xs: np.ndarray):
-    xs = np.unique(xs)
-    if len(xs) < 3:
+def _assert_concave(f, support: np.ndarray):
+    """support: the sorted distinct values of the linear functional."""
+    if len(support) < 3:
         return
-    vals = f(xs)
     # second divided differences must be <= 0
-    d1 = np.diff(vals) / np.diff(xs)
+    d1 = np.diff(f(support)) / np.diff(support)
     if np.any(np.diff(d1) > 1e-10):
         raise ValueError("f is not concave on the enumerated support")
 
@@ -600,8 +598,8 @@ def certification_campaign(
             supports.append(list(zip(values.tolist(), masses.tolist())))
         u = float(rng.uniform(0.05, 1.0))
         law = charpoly(supports)  # shared by both checks
-        certs.append(_charpoly_integral(*law, u))
-        certs.append(_inverse_falling_moments(*law, max_r=3))
+        certs.append(check_charpoly_integral(law, u))
+        certs.append(check_inverse_falling_moments(law, max_r=3))
 
     for _ in range(moment):
         inst = build_instance(_random_means(rng))

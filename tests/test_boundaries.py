@@ -77,9 +77,9 @@ CASES = {
     "charpoly nan mass": lambda: charpoly([[(0.0, NAN), (1.0, 1.0)]]),
     "charpoly masses 1.5, -0.5": lambda: charpoly([[(0.0, 1.5), (1.0, -0.5)]]),
     "check_charpoly_integral u=0":
-        lambda: check_charpoly_integral([[(1.0, 1.0)]], 0.0),
+        lambda: check_charpoly_integral(charpoly([[(1.0, 1.0)]]), 0.0),
     "check_charpoly_integral u=nan":
-        lambda: check_charpoly_integral([[(1.0, 1.0)]], NAN),
+        lambda: check_charpoly_integral(charpoly([[(1.0, 1.0)]]), NAN),
     **{f"chebyshev_coefficients {name}={value}":
        (lambda name=name, value=value:
         chebyshev_coefficients(1000, 100.0, **{name: value}))

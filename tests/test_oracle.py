@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from supportsize.distributions import DiscreteDistribution, make_distribution
+from supportsize import oracle
+from supportsize.distributions import (FAMILIES, DiscreteDistribution,
+                                       make_distribution)
 from supportsize.oracle import (
     MAX_PREVALENCE,
     LinearFunctional,
@@ -307,21 +309,22 @@ def test_charpoly_validation():
 def test_charpoly_integral_point_mass():
     # X = 1: integral is u^2/2, bound is u
     for u in (0.2, 0.7, 1.0):
-        cert = check_charpoly_integral([[(1.0, 1.0)]], u)
+        cert = check_charpoly_integral(charpoly([[(1.0, 1.0)]]), u)
         assert cert.passed
         assert cert.lhs == pytest.approx(u * u / 2.0, abs=1e-12)
         assert cert.rhs == pytest.approx(u, abs=1e-12)
 
 
 def test_inverse_falling_moments_point_mass():
-    cert = check_inverse_falling_moments([[(1.0, 1.0)]], max_r=3)
+    cert = check_inverse_falling_moments(charpoly([[(1.0, 1.0)]]), max_r=3)
     assert cert.passed
 
 
 @pytest.mark.parametrize("max_r", [1, 3])
 def test_inverse_falling_moments_skips_when_mean_power_overflows(max_r):
     # E[X] = 2.2e-311: E[X]^-r is beyond the float range
-    cert = check_inverse_falling_moments([[(2.225073858507e-311, 1.0)]], max_r)
+    cert = check_inverse_falling_moments(
+        charpoly([[(2.225073858507e-311, 1.0)]]), max_r)
     assert cert.status == "skipped"
     assert cert.detail == f"E[X]^-{max_r} overflows"
 
@@ -346,7 +349,7 @@ supports = st.lists(
 @settings(deadline=None)
 @given(supports, st.integers(1, 5))
 def test_inverse_falling_moments_matches_per_item_products(supports, max_r):
-    cert = check_inverse_falling_moments(supports, max_r)
+    cert = check_inverse_falling_moments(charpoly(supports), max_r)
     values, masses = charpoly(supports)
     ex = math.fsum(s * mass for s, mass in zip(values, masses))
     if ex <= 0:
@@ -367,7 +370,7 @@ def test_inverse_falling_moments_matches_per_item_products(supports, max_r):
 def test_charpoly_integral_matches_per_entry_sums(supports, u):
     # each power is Python's pow of one law entry, so the certificate does
     # not depend on how numpy vectorises power on this CPU
-    cert = check_charpoly_integral(supports, u)
+    cert = check_charpoly_integral(charpoly(supports), u)
     law = list(zip(*(a.tolist() for a in charpoly(supports))))
     ex = math.fsum(s * mass for s, mass in law)
     if ex <= 0:
@@ -551,6 +554,39 @@ def test_verify_campaign_certificates_are_pinned():
 def test_campaign_rejects_negative_counts():
     with pytest.raises(ValueError):
         certification_campaign(moment=-1)
+
+
+def test_campaign_calls_each_public_check_once_per_case(monkeypatch):
+    # every certificate comes from the public check of its name, so a
+    # tracer that wraps the public checks sees every call
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in vars(oracle).copy().items():
+        if name.startswith("check_") and fn.__module__ == oracle.__name__:
+            monkeypatch.setattr(oracle, name, counted(name, fn))
+    certs = certification_campaign(
+        seed=3, decoupling=2, charpoly_cases=3, moment=4, degree2=5,
+        conditional=6, regression=7,
+    )
+    assert calls == {
+        "check_decoupling_lower": 2,
+        "check_decoupling_upper_concave": 2,
+        "check_domination_upper": 2,
+        "check_charpoly_integral": 3,
+        "check_inverse_falling_moments": 3,
+        "check_moment_bound": 4,
+        "check_degree2_second_moment": 5,
+        "check_conditional_moment": 6,
+        "check_negative_regression": 7,
+        "check_cauchy_schwarz": 4 * len(FAMILIES),
+    }
+    assert len(certs) == sum(calls.values())
 
 
 def test_small_campaign_has_no_falsifications():
