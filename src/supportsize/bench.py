@@ -1,20 +1,17 @@
 """Monte Carlo MSE harness, sweep configuration, and empirical-data paths.
 
-A (distribution, n) cell is drawn once, as a truncated occupancy matrix,
-and every configured estimator is scored on it with
-estimators.unseen_estimates, so all estimators see the same samples. The
-draw samples each symbol's class min(N_x, W) by inverting its truncated
-Poisson cdf, in blocks of BLOCK trials: block b takes its uniforms from
-default_rng([master_seed, b]), BLOCK per symbol in symbol order, so trial
-t's row depends only on (master_seed, t), never on the trial count. A sweep
-draws all its cells in one call (_draw_cells), which draws each block's
-uniforms once, up to the largest support, and a cell with S symbols reads
-the first S * BLOCK of them. So a sweep row equals its one-cell
-monte_carlo_mse row. The sweep holds the running counts of all its cells,
-2.1 MB for the default 32 cells at 2000 trials. Trials run serially; only
-run_sweep takes a workers argument, accepted for compatibility, and it
-changes neither results nor run time. Undefined Chao trials (phi_2 = 0) are
-excluded from the mean and reported in undefined_count, never imputed.
+A Monte Carlo run has two steps, draw then score. _draw_cells draws every
+(distribution, n) cell of a run in one call, each as a truncated occupancy
+matrix sampled by block-seeded cdf inversion; trial t's row depends only on
+(master_seed, t), never on the trial count or on the other cells. _score
+then scores every configured estimator on a cell with
+estimators.unseen_estimates, one call per cell, so all estimators see the
+same samples. monte_carlo_mse is the two steps on one cell and one
+estimator, so its row equals the matching run_sweep row. Trials run
+serially; only run_sweep takes a workers argument, accepted for
+compatibility, and it changes neither results nor run time. Undefined Chao
+trials (phi_2 = 0) are excluded from the mean and reported in
+undefined_count, never imputed.
 """
 
 from __future__ import annotations
@@ -101,27 +98,19 @@ CSV_HEADER = ("family", "k", "n", "estimator", "mse", "stderr", "trials",
               "undefined_count")
 
 
-def _cell_cdf(P: DiscreteDistribution, n: float, width: int) -> np.ndarray:
-    """(width x S) cdf matrix of a (P, n) cell: F[j, x] = P(N_x <= j) for
-    N_x ~ Poisson(n p_x), computed once per level of P."""
-    check_n(n)
-    values, lengths = P.levels
-    cdf = special.pdtr(np.arange(width)[:, None], n * values)
-    return cdf if lengths is None else np.repeat(cdf, lengths, axis=1)
-
-
 def _draw_cells(
-    cdfs: list[np.ndarray], trials: int, master_seed: int
+    cells: list[tuple[DiscreteDistribution, float]], trials: int,
+    master_seed: int,
 ) -> list[np.ndarray]:
-    """(trials x width) occupancy matrix of each cell, given its cdf matrix
-    (_cell_cdf).
+    """(trials x W) occupancy matrix of each (P, n) cell, W =
+    occupancy_width(P.k).
 
-    Row t holds phi_0..phi_{width-1} of one Poisson(n p) sample. Only each
-    symbol's class min(N_x, width) is drawn: with F[j, x] = P(N_x <= j) and
-    U uniform on [0, 1), cnt_j = #{x : U_x < F[j, x]} is phi_0 + ... + phi_j.
-    Counts at or above width are lumped together; they enter the estimators
+    Row t holds phi_0..phi_{W-1} of one Poisson(n p) sample. Only each
+    symbol's class min(N_x, W) is drawn: with F[j, x] = P(N_x <= j) and U
+    uniform on [0, 1), cnt_j = #{x : U_x < F[j, x]} is phi_0 + ... + phi_j.
+    Counts at or above W are lumped together; they enter the estimators
     only through seen = support - phi_0. The law is exact up to the float
-    rounding of F.
+    rounding of F, which is computed once per level of P.levels.
 
     Trial t is row t mod BLOCK of block t // BLOCK, whose uniforms come from
     default_rng([master_seed, t // BLOCK]), BLOCK per symbol in symbol order.
@@ -133,11 +122,17 @@ def _draw_cells(
     larger one.
 
     Besides one chunk of uniforms, as drawn and transposed, the draw holds
-    every cell's cdf and its running counts, cells x blocks x BLOCK x width
+    every cell's cdf and its running counts, cells x blocks x BLOCK x W
     int64, which become the occupancy matrices in place. For the default
-    sweep (32 cells at k = 1000, width 4, 2000 trials) the counts take
+    sweep (32 cells at k = 1000, W = 4, 2000 trials) the counts take
     2.1 MB and the cdfs 0.6 MB.
     """
+    cdfs = []
+    for P, n in cells:
+        check_n(n)
+        values, lengths = P.levels
+        cdf = special.pdtr(np.arange(occupancy_width(P.k))[:, None], n * values)
+        cdfs.append(cdf if lengths is None else np.repeat(cdf, lengths, axis=1))
     if trials < 1:
         raise ValueError("trials must be >= 1")
     blocks = -(-trials // BLOCK)
@@ -163,40 +158,37 @@ def _draw_cells(
 
 
 def _score(
-    P: DiscreteDistribution, n: float, estimator_id: str, occupancy: np.ndarray
-) -> MseRow:
-    """MSE row of one estimator on a drawn cell; NaN errors are undefined.
+    P: DiscreteDistribution, n: float, estimator_ids: tuple[str, ...],
+    occupancy: np.ndarray,
+) -> list[MseRow]:
+    """MSE row of each estimator on one drawn cell; NaN errors are undefined.
 
     The per-trial squared error is measured against the latent phi_0, which
     equals the support-estimation error for plug-in style estimators.
     """
+    family = P.family or "custom"
     phi0 = occupancy[:, 0]
-    unseen = unseen_estimates(occupancy, support_size(P) - phi0, estimator_id,
-                              k=P.k, n=n)
-    err = phi0 - unseen
-    errors = err * err
-    defined = errors[~np.isnan(errors)]
-    trials = len(errors)
-    if len(defined) == 0:
-        raise UndefinedEstimateError(
-            f"{estimator_id} is undefined on every trial of "
-            f"{P.family or 'custom'} at k={P.k}, n={n:g}")
-    mse = float(np.mean(defined))
-    stderr = (
-        float(np.std(defined, ddof=1) / math.sqrt(len(defined)))
-        if len(defined) > 1
-        else 0.0
-    )
-    return MseRow(
-        family=P.family or "custom",
-        k=P.k,
-        n=n,
-        estimator_id=estimator_id,
-        mse=mse,
-        stderr=stderr,
-        trials=trials,
-        undefined_count=trials - len(defined),
-    )
+    seen = support_size(P) - phi0
+    trials = len(phi0)
+    rows = []
+    for estimator_id in estimator_ids:
+        err = phi0 - unseen_estimates(occupancy, seen, estimator_id, k=P.k,
+                                      n=n)
+        errors = err * err
+        defined = errors[~np.isnan(errors)]
+        if len(defined) == 0:
+            raise UndefinedEstimateError(
+                f"{estimator_id} is undefined on every trial of "
+                f"{family} at k={P.k}, n={n:g}")
+        stderr = (
+            float(np.std(defined, ddof=1) / math.sqrt(len(defined)))
+            if len(defined) > 1
+            else 0.0
+        )
+        rows.append(MseRow(family, P.k, n, estimator_id,
+                           float(np.mean(defined)), stderr, trials,
+                           trials - len(defined)))
+    return rows
 
 
 def monte_carlo_mse(
@@ -208,36 +200,34 @@ def monte_carlo_mse(
 ) -> MseRow:
     """Monte Carlo estimate of the MSE of a support estimator under P.
 
-    The cell is drawn by _draw_cells as one cell of a sweep is, so the row
-    equals the matching run_sweep row, which scores every estimator on one
-    shared draw of the cell.
+    It is run_sweep on one cell and one estimator: the cell is drawn alone
+    by _draw_cells and scored by _score, so the row equals the matching
+    run_sweep row.
     """
     if master_seed < 0:
         raise ValueError(f"master_seed must be >= 0, got {master_seed}")
-    (occupancy,) = _draw_cells([_cell_cdf(P, n, occupancy_width(P.k))],
-                               trials, master_seed)
-    return _score(P, n, estimator_id, occupancy)
+    (occupancy,) = _draw_cells([(P, n)], trials, master_seed)
+    (row,) = _score(P, n, (estimator_id,), occupancy)
+    return row
 
 
 def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[MseRow]:
     """Cartesian product of families x n_grid x estimators; writes CSV.
 
-    All (family, n) cells are drawn in one _draw_cells call, which draws
-    each block's uniforms once for the whole sweep, and each cell is scored
-    by every estimator. Output is deterministic (byte-identical) for a
-    given config regardless of worker count; workers (>= 1) changes neither
-    the result nor the run time.
+    Two steps: every (family, n) cell is drawn in one _draw_cells call,
+    which draws each block's uniforms once for the whole sweep, and then
+    one _score call per cell scores every estimator on that cell's draw.
+    Output is deterministic (byte-identical) for a given config regardless
+    of worker count; workers (>= 1) changes neither the result nor the run
+    time.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     dists = [make_distribution(family, cfg.k) for family in cfg.families]
     cells = [(P, n) for P in dists for n in cfg.n_grid]
-    width = occupancy_width(cfg.k)
-    occupancies = _draw_cells([_cell_cdf(P, n, width) for P, n in cells],
-                              cfg.trials, cfg.master_seed)
-    rows = [_score(P, n, estimator_id, occupancy)
-            for (P, n), occupancy in zip(cells, occupancies)
-            for estimator_id in cfg.estimators]
+    occupancies = _draw_cells(cells, cfg.trials, cfg.master_seed)
+    rows = [row for (P, n), occupancy in zip(cells, occupancies)
+            for row in _score(P, n, cfg.estimators, occupancy)]
     write_rows(rows, cfg.output_path)
     return rows
 

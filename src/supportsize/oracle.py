@@ -526,18 +526,18 @@ def _random_means(rng: np.random.Generator, mean_range=(0.2, 3.0)) -> np.ndarray
     return rng.uniform(*mean_range, size=m)
 
 
-def _random_poly(rng: np.random.Generator, degree: int, max_index: int = 3,
-                 terms: int = 2) -> PolyFunctional:
+def _random_poly(rng: np.random.Generator, degree: int,
+                 max_index: int = 3) -> PolyFunctional:
     coeffs = {}
-    for _ in range(terms):
+    for _ in range(2):
         idx = tuple(int(v) for v in rng.integers(0, max_index + 1, size=degree))
         coeffs[idx] = float(rng.uniform(0.0, 1.0))
     return PolyFunctional(degree=degree, coeffs=coeffs)
 
 
-def _random_linear(rng: np.random.Generator, length: int = 5) -> LinearFunctional:
-    beta = rng.uniform(0.0, 1.0, size=length)
-    keep = rng.random(length) < 0.6
+def _random_linear(rng: np.random.Generator) -> LinearFunctional:
+    beta = rng.uniform(0.0, 1.0, size=5)
+    keep = rng.random(5) < 0.6
     return LinearFunctional(coeffs=tuple(float(b * k) for b, k in zip(beta, keep)))
 
 

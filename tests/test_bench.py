@@ -14,8 +14,8 @@ from supportsize import bench
 from supportsize.bench import (
     BLOCK,
     CSV_HEADER,
+    DEFAULT_ESTIMATORS,
     SweepConfig,
-    _cell_cdf,
     _draw_cells,
     estimate_from_counts,
     ingest_counts,
@@ -48,10 +48,10 @@ from supportsize.poisson_model import (
 )
 
 
-def draw_cell(P, n, trials, master_seed, width):
+def draw_cell(P, n, trials, master_seed):
     """The occupancy matrix of one (P, n) cell, drawn alone as
     monte_carlo_mse draws it."""
-    (occupancy,) = _draw_cells([_cell_cdf(P, n, width)], trials, master_seed)
+    (occupancy,) = _draw_cells([(P, n)], trials, master_seed)
     return occupancy
 
 
@@ -80,7 +80,7 @@ def test_monte_carlo_agrees_with_direct_estimators():
     n, seed, trials = 90.0, 17, 40
     width = occupancy_width(P.k)
     fps = []
-    for row in draw_cell(P, n, trials, seed, width).tolist():
+    for row in draw_cell(P, n, trials, seed).tolist():
         phi = dict(enumerate(row))
         phi0 = phi.pop(0)
         phi[width] = len(P) - phi0 - sum(phi.values())
@@ -123,7 +123,7 @@ def test_draw_cell_matches_exact_joint_law():
         bins = [key for key in law if key not in pooled]
         index = {key: i for i, key in enumerate(bins)}
         observed = np.zeros(len(bins) + 1)
-        for row in map(tuple, draw_cell(P, n, trials, case, 3).tolist()):
+        for row in map(tuple, draw_cell(P, n, trials, case).tolist()):
             observed[index.get(row, len(bins))] += 1
         expected = [trials * law[key] for key in bins] + [pool]
         p_value = stats.chisquare(observed, expected).pvalue
@@ -138,7 +138,7 @@ def test_draw_cell_prevalence_means(family):
     P = make_distribution(family, k)
     width = occupancy_width(k)
     for n in (k / 4, 2.0 * k, 8.0 * k):
-        occupancy = draw_cell(P, n, trials, 1, width)
+        occupancy = draw_cell(P, n, trials, 1)
         for j in range(width):
             mu = expected_prevalence(P, n, j)
             var = max(prevalence_second_moment(P, n, j) - mu * mu, 0.0)
@@ -148,20 +148,22 @@ def test_draw_cell_prevalence_means(family):
 
 
 def test_draw_cell_rows_do_not_depend_on_trial_count():
-    P = make_distribution("geometric", 500)
-    full = draw_cell(P, 700.0, 4 * BLOCK + 3, 8, 4)
+    P = make_distribution("geometric", 1000)
+    full = draw_cell(P, 700.0, 4 * BLOCK + 3, 8)
+    assert full.shape[1] == 4
     for trials in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK - 5):
-        np.testing.assert_array_equal(draw_cell(P, 700.0, trials, 8, 4),
+        np.testing.assert_array_equal(draw_cell(P, 700.0, trials, 8),
                                       full[:trials])
 
 
 def test_draw_cell_does_not_depend_on_symbol_chunk(monkeypatch):
     # uniforms are consumed symbol by symbol, so the chunk size that bounds
     # a block's memory changes no draw
-    P = make_distribution("zipf", 200)
-    full = draw_cell(P, 300.0, BLOCK + 5, 2, 4)
+    P = make_distribution("zipf", 1000)
+    full = draw_cell(P, 300.0, BLOCK + 5, 2)
+    assert full.shape[1] == 4
     monkeypatch.setattr(bench, "_SYMBOL_CHUNK", 7)
-    np.testing.assert_array_equal(draw_cell(P, 300.0, BLOCK + 5, 2, 4), full)
+    np.testing.assert_array_equal(draw_cell(P, 300.0, BLOCK + 5, 2), full)
 
 
 def test_draw_cell_memory_is_bounded_per_block():
@@ -170,7 +172,7 @@ def test_draw_cell_memory_is_bounded_per_block():
     P = make_distribution("uniform", 10**5)
     tracemalloc.start()
     try:
-        draw_cell(P, 2e5, 2 * BLOCK, 0, occupancy_width(P.k))
+        draw_cell(P, 2e5, 2 * BLOCK, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -255,6 +257,26 @@ def test_shared_draws_match_per_estimator_rows(tmp_path):
                                       cfg.master_seed)
     chao = [r for r in rows if r.estimator_id == "chao"]
     assert any(0 < r.undefined_count < cfg.trials for r in chao)
+
+
+def test_sweep_draws_once_and_scores_once_per_cell(tmp_path, monkeypatch):
+    # one draw for the whole sweep and one _score call per (family, n)
+    # cell, whatever the number of estimators; monte_carlo_mse is one of
+    # each
+    calls = {"_draw_cells": 0, "_score": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(bench, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(bench, name, counted)
+    cfg = SweepConfig(families=("uniform", "zipf"), k=60, n_grid=(30.0, 90.0),
+                      estimators=DEFAULT_ESTIMATORS, trials=20,
+                      output_path=str(tmp_path / "sweep.csv"))
+    assert len(run_sweep(cfg)) == 2 * 2 * 3
+    assert calls == {"_draw_cells": 1, "_score": 4}
+    calls.update(_draw_cells=0, _score=0)
+    monte_carlo_mse(make_distribution("zipf", 60), 30.0, "plugin", 20, 0)
+    assert calls == {"_draw_cells": 1, "_score": 1}
 
 
 @pytest.mark.parametrize("k, chunk", [(1000, None), (60, 7)])
