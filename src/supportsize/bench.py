@@ -287,12 +287,6 @@ def _is_header(fields) -> bool:
 
 #: _BYTE_MASKS[j] keeps the first j bytes of a little-endian 8-byte word.
 _BYTE_MASKS = np.array([256**j - 1 for j in range(9)], np.uint64)
-#: Odd multiplier of the polynomial hash of symbols over 8 bytes.
-_HASH_BASE = np.uint64(0x100000001B3)
-#: Longest symbol, in UTF-8 bytes, that _parse_counts takes. The hash makes
-#: one numpy pass per 8 bytes of the longest symbol, even when it is the only
-#: long one, so a text with a longer symbol goes to the per-row parse.
-_LONGEST_SYMBOL = 1024
 
 
 def _digit_fields(raw: np.ndarray, starts: np.ndarray,
@@ -318,27 +312,6 @@ def _digit_fields(raw: np.ndarray, starts: np.ndarray,
     return values
 
 
-def _symbol_keys(raw: np.ndarray, starts: np.ndarray,
-                 lengths: np.ndarray) -> np.ndarray:
-    """One uint64 key per symbol raw[start : start + length]; equal symbols
-    get equal keys.
-
-    A symbol of at most 8 bytes is its bytes packed, which tells apart any
-    two of them, since the text holds no NUL. A longer one is a polynomial
-    hash of its 8-byte words modulo 2**64, built word column by word column.
-    raw must hold 8 bytes past the last symbol.
-    """
-    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))  # raw[i:i+8]
-    keys = words[starts] & _BYTE_MASKS[np.minimum(lengths, 8)]
-    rows, offset = np.flatnonzero(lengths > 8), 8
-    while len(rows):
-        left = lengths[rows] - offset
-        word = words[starts[rows] + offset] & _BYTE_MASKS[np.minimum(left, 8)]
-        keys[rows] = keys[rows] * _HASH_BASE + word
-        rows, offset = rows[left > 8], offset + 8
-    return keys
-
-
 def _graphic(byte: np.ndarray) -> np.ndarray:
     """Bytes 0x21-0x7E: ASCII characters that str.strip keeps."""
     return (byte > 0x20) & (byte < 0x7F)
@@ -356,14 +329,13 @@ def _parse_counts(text: str) -> np.ndarray | None:
     only when its header reads symbol,count and every other line has
     exactly one ",", every field is within csv.field_size_limit() in UTF-8
     bytes, every count is 1 to 18 ASCII digits, and every symbol has at most
-    _LONGEST_SYMBOL bytes and, unless empty, starts and ends with a byte in
-    0x21-0x7E (so str.strip keeps it), and gets a key no other symbol has
-    (_symbol_keys). Everything else is handed over: a blank line, a count
-    such as " 7 ", "+5", "1_0", "-1", non-ASCII digits or 19 digits, a
-    symbol with whitespace or a non-ASCII character at either end, a symbol
-    over _LONGEST_SYMBOL bytes, a duplicate symbol, and, rarely, two long
-    symbols whose hashes collide. This path then accepts only what
-    _read_counts accepts, with the same counts in the same order.
+    8 bytes and, unless empty, starts and ends with a byte in 0x21-0x7E (so
+    str.strip keeps it), and differs from every other symbol. Everything else
+    is handed over: a blank line, a count such as " 7 ", "+5", "1_0", "-1",
+    non-ASCII digits or 19 digits, a symbol with whitespace or a non-ASCII
+    character at either end, a symbol over 8 bytes, and a duplicate symbol.
+    This path then accepts only what _read_counts accepts, with the same
+    counts in the same order.
     """
     if '"' in text or "\0" in text or "\r" in text:
         return None
@@ -386,11 +358,14 @@ def _parse_counts(text: str) -> np.ndarray | None:
     if counts is None:
         return None
     starts, lengths = cuts[1:-1:2] + 1, widths[1::2]
-    if lengths.max(initial=0) > _LONGEST_SYMBOL or not (
+    if lengths.max(initial=0) > 8 or not (
             (lengths == 0)
             | _graphic(raw[starts]) & _graphic(raw[commas - 1])).all():
         return None
-    keys = np.sort(_symbol_keys(raw, starts, lengths))
+    # a symbol's key is its bytes packed into one little-endian word, which
+    # tells any two symbols apart, since the text holds no NUL
+    words = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))  # raw[i:i+8]
+    keys = np.sort(words[starts] & _BYTE_MASKS[lengths])
     if (keys[1:] == keys[:-1]).any():
         return None
     return counts
@@ -438,14 +413,10 @@ def ingest_counts(path) -> Fingerprint:
 
     The file is decoded as UTF-8, after a byte-order mark if it has one.
     An unquoted LF-ended file of plain digit counts and distinct symbols of
-    at most 1024 bytes with no space at either end is parsed column-wise by
-    numpy (_parse_counts). Any other file is read again and parsed row by
-    row (_read_counts), with the same result, or the error it raises: quoted
-    files, files with a CR or a blank line, counts padded with spaces or
-    written with a sign, "_" or non-ASCII digits, counts of 19 or more
-    digits, symbols with whitespace or a non-ASCII character at either end,
-    longer symbols, and files that fail a check. A file that is not UTF-8 is
-    refused with the line of its first bad byte.
+    at most 8 bytes is parsed column-wise by numpy (_parse_counts, which
+    lists the files it hands over). Any other file is read again and parsed
+    row by row (_read_counts), with the same result, or the error it raises.
+    A file that is not UTF-8 is refused with the line of its first bad byte.
     """
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:

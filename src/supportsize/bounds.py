@@ -159,8 +159,11 @@ def bias_bounds(n: float, k: int) -> tuple[float, float, float]:
     return lower, upper, sq_upper
 
 
+#: 1 - 2 e^{-2}, the base of the conditional-moment inflation: conditioning
+#: on phi_2 = 0 multiplies E[phi_j^h] by at most its (-min(m, h))-th power.
+CONDITIONAL_FACTOR_BASE = 1.0 - 2.0 * math.exp(-2.0)
 #: 1 / (1 - 2 e^{-2})^4, the conditional-moment inflation constant.
-LOW_COLLISION_A = 1.0 / (1.0 - 2.0 * math.exp(-2.0)) ** 4
+LOW_COLLISION_A = 1.0 / CONDITIONAL_FACTOR_BASE ** 4
 
 
 def low_collision_bound(e_phi2: float, n: float, k: int) -> float:

@@ -53,8 +53,7 @@ def _build_parser() -> _Parser:
 
     est = sub.add_parser("estimate", help="estimate support from counts CSV")
     est.add_argument("--counts", required=True, help="CSV with header symbol,count")
-    est.add_argument("--estimators", default="plugin,chao,modified_chao",
-                     help="comma-separated estimator ids")
+    est.add_argument("--estimators", help="comma-separated estimator ids")
     est.add_argument("--k", type=int)
     est.add_argument("--n", type=float)
 
@@ -62,10 +61,10 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--config", help="flat key=value config file")
     sweep.add_argument("--families")
     sweep.add_argument("--k")
-    sweep.add_argument("--n-grid", dest="n_grid")
+    sweep.add_argument("--n-grid")
     sweep.add_argument("--estimators")
     sweep.add_argument("--trials")
-    sweep.add_argument("--master-seed", dest="master_seed")
+    sweep.add_argument("--master-seed")
     sweep.add_argument("--output", dest="output_path")
     sweep.add_argument("--workers", type=int, default=1)
 
@@ -118,8 +117,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    estimators = bench.parse_setting("estimators", args.estimators)
-    report = bench.estimate_from_counts(args.counts, estimators, args.k, args.n)
+    chosen = {} if args.estimators is None else {
+        "estimators": bench.parse_setting("estimators", args.estimators)}
+    report = bench.estimate_from_counts(args.counts, k=args.k, n=args.n,
+                                        **chosen)
     for estimator_id, output in report.items():
         text = "undefined" if output is None else f"{output.value:.6g}"
         print(f"{estimator_id:15s} {text}")

@@ -23,7 +23,7 @@ from functools import lru_cache, reduce
 import numpy as np
 from scipy.special import pdtrc, stirling2
 
-from .bounds import check_unit_interval, sigma_of
+from .bounds import CONDITIONAL_FACTOR_BASE, check_unit_interval, sigma_of
 from .distributions import FAMILIES, DiscreteDistribution, make_distribution
 from .poisson_model import expected_prevalence, poisson_pmf
 
@@ -31,8 +31,6 @@ MAX_SYMBOLS = 4
 #: Largest prevalence index an instance answers: each symbol's count is kept
 #: only up to MAX_PREVALENCE + 1, which stands for that many or more.
 MAX_PREVALENCE = 4
-
-_CONDITIONAL_FACTOR_BASE = 1.0 - 2.0 * math.exp(-2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +430,7 @@ def check_conditional_moment(inst: OracleInstance, j: int, h: int) -> Certificat
         raise ValueError("conditioning event phi_2 = 0 has zero mass")
     pj = inst.prevalences(j)
     lhs = float((pj[mask] ** h) @ inst.probs[mask]) / pz
-    factor = _CONDITIONAL_FACTOR_BASE ** -min(inst.num_symbols, h)
+    factor = CONDITIONAL_FACTOR_BASE ** -min(inst.num_symbols, h)
     rhs = factor * float((pj**h) @ inst.probs)
     slack = 1e-12 * (1.0 + rhs)
     return _certify("conditional_moment", rhs - lhs, slack, lhs, rhs,

@@ -579,8 +579,8 @@ def _per_row_outcome(path, text):
 
 
 @pytest.mark.parametrize("rows", [3, 100_000])
-@pytest.mark.parametrize("symbol", ["x{}", "species-{:08d}"],
-                         ids=["short symbols", "9+ byte symbols"])
+@pytest.mark.parametrize("symbol", ["x{}", "s{:07d}"],
+                         ids=["short symbols", "8-byte symbols"])
 def test_plain_files_take_the_column_parse(tmp_path, monkeypatch, rows,
                                            symbol):
     # files like the benchmark's, with counts of 1 to 18 digits, never reach
@@ -602,28 +602,20 @@ def test_plain_files_take_the_column_parse(tmp_path, monkeypatch, rows,
         MultiplicitySample(counts))
 
 
-def _hash_collision() -> tuple[str, str]:
-    """Two distinct 16-byte symbols with equal keys: w0 * B + w1 is the same
-    for (w0, w1) and (w0 + 1, w1 - B) modulo 2**64."""
-    w0, w1 = (int.from_bytes(word, "little")
-              for word in (b"aaaaaaaa", b"02aabaaa"))
-    other = [(w0 + 1) % 2**64, (w1 - int(bench._HASH_BASE)) % 2**64]
-    return "aaaaaaaa02aabaaa", b"".join(
-        w.to_bytes(8, "little") for w in other).decode("ascii")
-
-
 @pytest.mark.parametrize("rows", [
     "a, 7 \nb,2\n", "a,1_0\nb,2\n", "a,+5\nb,2\n", "a,٣\nb,2\n",
     f"a,{10**18}\nb,2\n", f"a,{2**63}\nb,2\n", "a,1\nb,-1\n",
     " a,1\nb,2\n", "a\t,1\nb,2\n", "ä,1\nb,2\n", "aä,1\nb,2\n",
     "a\u00a0,1\na,2\n", "a,1\n a,2\n", "long-symbol,1\nlong-symbol,2\n",
-    "{0},1\n{1},2\n".format(*_hash_collision()),
+    "species1,1\nspecies1,2\n", "species-1,1\nb,2\n",
+    "aaaaaaaa02aabaaa,1\nbaaaaaaa}0aab`aa,2\n",
     f"{'y' * 1025},1\nb,2\n",
 ], ids=["padded count", "count with _", "signed count", "non-ASCII digit",
         "19 digits", "19 digits past int64", "negative count",
         "leading space", "trailing tab", "leading non-ASCII",
         "trailing non-ASCII", "non-ASCII space, duplicate",
-        "duplicate after strip", "long duplicate", "hash collision",
+        "duplicate after strip", "long duplicate", "8-byte duplicate",
+        "9-byte symbol", "two distinct 16-byte symbols",
         "symbol over 1024 bytes"])
 def test_hand_over_cases_match_the_per_row_parse(tmp_path, rows):
     # each text the column parse leaves alone gets the per-row parse's
