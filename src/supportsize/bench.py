@@ -3,15 +3,17 @@
 A Monte Carlo run has two steps, draw then score. _draw_cells draws every
 (distribution, n) cell of a run in one call, each as a truncated occupancy
 matrix sampled by block-seeded cdf inversion; trial t's row depends only on
-(master_seed, t), never on the trial count or on the other cells. _score
-then scores every configured estimator on a cell with
+(master_seed, t), never on the trial count or on the other cells. It runs
+one symbol chunk at a time and compares the uniforms once per group of
+cells of equal support, so its memory does not grow with the support size.
+_score then scores every configured estimator on a cell with
 estimators.unseen_estimates, one call per cell, so all estimators see the
-same samples. monte_carlo_mse is the two steps on one cell and one
-estimator, so its row equals the matching run_sweep row. Trials run
-serially; only run_sweep takes a workers argument, accepted for
-compatibility, and it changes neither results nor run time. Undefined Chao
-trials (phi_2 = 0) are excluded from the mean and reported in
-undefined_count, never imputed.
+same samples, and reduces their squared errors together. monte_carlo_mse
+is the two steps on one cell and one estimator, so its row equals the
+matching run_sweep row. Trials run serially; only run_sweep takes a
+workers argument, accepted for compatibility, and it changes neither
+results nor run time. Undefined Chao trials (phi_2 = 0) are excluded from
+the mean and reported in undefined_count, never imputed.
 """
 
 from __future__ import annotations
@@ -41,12 +43,13 @@ DEFAULT_ESTIMATORS = ("plugin", "modified_chao", "chebyshev")
 #: Trials per random block of a cell. Part of the output contract: a new
 #: value changes every sweep CSV.
 BLOCK = 64
-#: Symbols per batch of uniforms. It bounds a block's working memory at about
-#: BLOCK * _SYMBOL_CHUNK * (16 + W) bytes for any support size; the uniforms
-#: are consumed symbol by symbol, so it changes no draw. Below 2**15, so a
-#: chunk's counts fit the int16 sums of _draw_cells, about 3x faster than
-#: int64 ones.
-_SYMBOL_CHUNK = 4096
+#: Symbols per batch of uniforms. It bounds the draw's working memory for
+#: any support size: the cdf stacks take cells * W * _SYMBOL_CHUNK * 8 bytes
+#: and the compare buffer BLOCK * C * W * _SYMBOL_CHUNK bytes for a group of
+#: C cells; the uniforms are consumed symbol by symbol, so it changes no
+#: draw. Below 2**15, so a chunk's counts fit the int16 sums of
+#: _draw_cells, about 3x faster than int64 ones.
+_SYMBOL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,23 @@ CSV_HEADER = ("family", "k", "n", "estimator", "mse", "stderr", "trials",
               "undefined_count")
 
 
+def _chunk_cdf(P: DiscreteDistribution, n: float, ends: np.ndarray | None,
+               width: int, lo: int, hi: int) -> np.ndarray:
+    """F[j, x] = P(N_x <= j), N_x ~ Poisson(n p_x), for j < width and the
+    symbols lo <= x < hi of P, whose level runs end at ends (None when P
+    has no run longer than one symbol). pdtr runs once per level run that
+    overlaps the chunk, so F is bitwise the same for any chunking."""
+    values, lengths = P.levels
+    j = np.arange(width)[:, None]
+    if lengths is None:
+        return special.pdtr(j, n * values[lo:hi])
+    first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+    runs = slice(first, last + 1)
+    repeats = (np.minimum(ends[runs], hi)
+               - np.maximum(ends[runs] - lengths[runs], lo))
+    return np.repeat(special.pdtr(j, n * values[runs]), repeats, axis=1)
+
+
 def _draw_cells(
     cells: list[tuple[DiscreteDistribution, float]], trials: int,
     master_seed: int,
@@ -119,41 +139,67 @@ def _draw_cells(
     counts against the first S * BLOCK of them. So a cell's rows do not
     depend on the other cells it is drawn with, and whole blocks are always
     drawn, so the rows for a trial count are the leading rows for any
-    larger one.
+    larger one. The last block compares only the rows it keeps.
 
+    The loop runs over symbol chunks on the outside and holds one generator
+    per block, each of which reads its chunks in order. Cells of equal
+    support and width form a group; the group's cdfs for the chunk are
+    stacked as (C cells x W) rows and compared with a block's uniforms in
+    one step, so cells that share their support share each compare.
     Besides one chunk of uniforms, as drawn and transposed, the draw holds
-    every cell's cdf and its running counts, cells x blocks x BLOCK x W
-    int64, which become the occupancy matrices in place. For the default
-    sweep (32 cells at k = 1000, W = 4, 2000 trials) the counts take
-    2.1 MB and the cdfs 0.6 MB.
+    the stacks, cells x W x _SYMBOL_CHUNK float64, one bool buffer of
+    BLOCK x C x W x _SYMBOL_CHUNK for the largest group, and the counts,
+    cells x trials x W int64, which become the occupancy matrices in place.
+    Nothing grows with the support size. For the default sweep (32 cells
+    at k = 1000, W = 4, 2000 trials) the counts take 2 MB, the stacks
+    0.6 MB and the buffer 2 MB.
     """
-    cdfs = []
-    for P, n in cells:
+    for _, n in cells:
         check_n(n)
-        values, lengths = P.levels
-        cdf = special.pdtr(np.arange(occupancy_width(P.k))[:, None], n * values)
-        cdfs.append(cdf if lengths is None else np.repeat(cdf, lengths, axis=1))
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    blocks = -(-trials // BLOCK)
-    symbols = max(cdf.shape[1] for cdf in cdfs)
-    cums = [np.zeros((blocks, BLOCK, len(cdf)), np.int64) for cdf in cdfs]
-    for b in range(blocks):
-        rng = np.random.default_rng([master_seed, b])
-        for lo in range(0, symbols, _SYMBOL_CHUNK):
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (P, _) in enumerate(cells):
+        groups.setdefault((len(P.probs), occupancy_width(P.k)), []).append(i)
+    counts = {key: np.zeros((len(members), trials, key[1]), np.int64)
+              for key, members in groups.items()}
+    ends = [None if P.levels[1] is None else np.cumsum(P.levels[1])
+            for P, _ in cells]
+    symbols = max(size for size, _ in groups)
+    rngs = [np.random.default_rng([master_seed, b])
+            for b in range(-(-trials // BLOCK))]
+    # one buffer for every compare: a fresh one per step costs more in page
+    # faults than the compare itself
+    below = np.empty(BLOCK * min(_SYMBOL_CHUNK, symbols) * max(
+        len(members) * width for (_, width), members in groups.items()), bool)
+    for lo in range(0, symbols, _SYMBOL_CHUNK):
+        hi = min(lo + _SYMBOL_CHUNK, symbols)
+        stacks = [(np.concatenate([_chunk_cdf(*cells[i], ends[i], width, lo,
+                                              min(hi, size))
+                                   for i in members]), counts[size, width])
+                  for (size, width), members in groups.items() if size > lo]
+        for b, rng in enumerate(rngs):
+            rows = slice(b * BLOCK, min(trials, (b + 1) * BLOCK))
+            kept = rows.stop - rows.start
             # drawn symbol by symbol, counted trial-major: u[t, 0, x] is
             # trial t's uniform for symbol lo + x
-            u = rng.random((min(_SYMBOL_CHUNK, symbols - lo), BLOCK))
+            u = rng.random((hi - lo, BLOCK))[:, :kept]
             u = np.ascontiguousarray(u.T)[:, None, :]
-            for cdf, cum in zip(cdfs, cums):
-                chunk = cdf[:, lo : lo + _SYMBOL_CHUNK]
-                if chunk.shape[1]:
-                    below = u[..., : chunk.shape[1]] < chunk
-                    cum[b] += np.add.reduce(below, axis=2, dtype=np.int16)
-    occupancies = [cum.reshape(-1, cum.shape[2])[:trials] for cum in cums]
-    for occupancy in occupancies:
+            for stack, count in stacks:
+                # stack row c * W + j is F[j] of the group's cell c; this
+                # 3-D compare runs faster than a 4-D (cell, trial, j, x) one
+                out = below[: kept * stack.size].reshape(kept, *stack.shape)
+                np.less(u[..., : stack.shape[1]], stack, out=out)
+                cnt = np.add.reduce(out, axis=-1, dtype=np.int16)
+                by_cell = cnt.reshape(kept, len(count), -1)
+                count[:, rows] += by_cell.swapaxes(0, 1)
+    occupancies = [None] * len(cells)
+    for key, members in groups.items():
+        count = counts[key]
         # phi_j = cnt_j - cnt_{j-1} in place; numpy buffers the overlap
-        np.subtract(occupancy[:, 1:], occupancy[:, :-1], out=occupancy[:, 1:])
+        np.subtract(count[..., 1:], count[..., :-1], out=count[..., 1:])
+        for i, occupancy in zip(members, count):
+            occupancies[i] = occupancy
     return occupancies
 
 
@@ -164,30 +210,38 @@ def _score(
     """MSE row of each estimator on one drawn cell; NaN errors are undefined.
 
     The per-trial squared error is measured against the latent phi_0, which
-    equals the support-estimation error for plug-in style estimators.
+    equals the support-estimation error for plug-in style estimators. The
+    errors are stacked one row per estimator, and every row's mean and
+    standard deviation come from one reduction along the trials; a row with
+    NaNs (Chao's) is reduced again over its defined trials alone.
     """
     family = P.family or "custom"
     phi0 = occupancy[:, 0]
     seen = support_size(P) - phi0
     trials = len(phi0)
+    errors = np.empty((len(estimator_ids), trials))
+    for err, estimator_id in zip(errors, estimator_ids):
+        np.subtract(phi0, unseen_estimates(occupancy, seen, estimator_id,
+                                           k=P.k, n=n), out=err)
+        np.multiply(err, err, out=err)
+    means = errors.mean(axis=1)
+    stds = errors.std(axis=1, ddof=1) if trials > 1 else np.zeros_like(means)
     rows = []
-    for estimator_id in estimator_ids:
-        err = phi0 - unseen_estimates(occupancy, seen, estimator_id, k=P.k,
-                                      n=n)
-        errors = err * err
-        defined = errors[~np.isnan(errors)]
-        if len(defined) == 0:
-            raise UndefinedEstimateError(
-                f"{estimator_id} is undefined on every trial of "
-                f"{family} at k={P.k}, n={n:g}")
-        stderr = (
-            float(np.std(defined, ddof=1) / math.sqrt(len(defined)))
-            if len(defined) > 1
-            else 0.0
-        )
-        rows.append(MseRow(family, P.k, n, estimator_id,
-                           float(np.mean(defined)), stderr, trials,
-                           trials - len(defined)))
+    for estimator_id, error, mean, std in zip(estimator_ids, errors, means,
+                                              stds):
+        defined = trials
+        if math.isnan(mean):  # squares are never -inf: the row has a NaN
+            error = error[~np.isnan(error)]
+            defined = len(error)
+            if defined == 0:
+                raise UndefinedEstimateError(
+                    f"{estimator_id} is undefined on every trial of "
+                    f"{family} at k={P.k}, n={n:g}")
+            mean = error.mean()
+            std = error.std(ddof=1) if defined > 1 else 0.0
+        stderr = float(std / math.sqrt(defined)) if defined > 1 else 0.0
+        rows.append(MseRow(family, P.k, n, estimator_id, float(mean), stderr,
+                           trials, trials - defined))
     return rows
 
 

@@ -196,6 +196,54 @@ def test_sweep_memory_is_bounded_per_block(tmp_path):
     assert peak < BLOCK * cfg.k * 8 / 2 + counts
 
 
+def test_sweep_draw_memory_does_not_grow_with_k(tmp_path):
+    # the draw runs chunk by chunk, so at k = 10^5 it holds each cell's cdf
+    # for one symbol chunk, one bool buffer for a group's compare, one
+    # chunk of uniforms as drawn and transposed, and the counts; a bound
+    # twice that has no term in k (holding every cell's whole cdf, as a
+    # draw over all symbols at once would, takes about 96 MB here)
+    cfg = SweepConfig(k=10**5, trials=2 * BLOCK,
+                      output_path=str(tmp_path / "sweep.csv"))
+    cells = len(cfg.families) * len(cfg.n_grid)
+    assert cells == 32
+    width = occupancy_width(cfg.k)
+    chunk = bench._SYMBOL_CHUNK
+    stacks = cells * width * chunk * 8
+    buffer = BLOCK * len(cfg.n_grid) * width * chunk  # one family's cells
+    uniforms = 2 * BLOCK * chunk * 8
+    counts = cells * cfg.trials * width * 8
+    working = stacks + buffer + uniforms + counts
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * working, (peak, working)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_cells_of_equal_support_and_other_width_draw_alone(chunk,
+                                                           monkeypatch):
+    # cells are compared in groups of equal support and width: two uniform
+    # cells on 60 symbols with W = 3 (k = 60) and W = 5 (k = 10^4) must not
+    # share a group, and every cell, drawn among cells of other supports
+    # with a partial last block, equals the cell drawn alone
+    if chunk is not None:
+        monkeypatch.setattr(bench, "_SYMBOL_CHUNK", chunk)
+    narrow = DiscreteDistribution(np.full(60, 1 / 60), k=60)
+    wide = DiscreteDistribution(np.full(60, 1 / 60), k=10**4)
+    assert (occupancy_width(narrow.k), occupancy_width(wide.k)) == (3, 5)
+    cells = [(narrow, 30.0), (make_distribution("zipf", 60), 45.0),
+             (wide, 30.0), (narrow, 90.0),
+             (make_distribution("two_mixture", 200), 150.0), (wide, 90.0)]
+    trials = 2 * BLOCK + 5
+    drawn = _draw_cells(cells, trials, 6)
+    for (P, n), occupancy in zip(cells, drawn):
+        assert occupancy.shape == (trials, occupancy_width(P.k))
+        np.testing.assert_array_equal(occupancy, draw_cell(P, n, trials, 6))
+
+
 def test_squared_error_identity():
     # (S(P) - S_hat)^2 equals (phi_0 - U_hat)^2 for composed estimators
     P = make_distribution("geometric", 80)
@@ -510,7 +558,7 @@ def counts_texts(draw):
         elif edit == "3 fields":
             row.append(draw(st.sampled_from(["1", "x"])))
         elif edit == "duplicate":
-            form = draw(st.sampled_from([" {}", '"{}"']))
+            form = draw(st.sampled_from(["{}", " {}", '"{}"']))
             row[:1] = [form.format(rows[0][0])] if rows[0] else []
         elif edit == "count":
             row[1:] = [draw(st.sampled_from(
@@ -534,6 +582,7 @@ def counts_texts(draw):
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
           max_examples=300, deadline=None)
 @given(counts_texts(), st.sampled_from([None, 8]), st.booleans())
+@example("symbol,count\na,1\na,2\n", None, False)
 @example("symbol,count\na,1\n a,2\n", None, False)
 @example('symbol,count\na,1\n"a",2\n', None, False)
 @example("symbol,count\na\r,1\n", None, False)
