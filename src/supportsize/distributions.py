@@ -22,10 +22,10 @@ FAMILIES = ("uniform", "zipf", "geometric", "two_mixture")
 _SUM_TOL = 1e-12
 _FLOOR_TOL = 1e-12
 # exact_sum hands arrays of at most _FSUM_MAX_TERMS terms to math.fsum, whose
-# cost per term is below the kernel's fixed cost there, and arrays of more
-# than _BIN_MAX_TERMS, past which a per-exponent bin is no longer exact.
+# cost per term is below the kernel's fixed cost there, and refuses totals of
+# _MAX_TERMS terms or more, where a pass of its kernel need not shrink the rest.
 _FSUM_MAX_TERMS = 1000
-_BIN_MAX_TERMS = 2**26
+_MAX_TERMS = 2**51
 
 
 def exact_sum(x: np.ndarray, counts: np.ndarray | None = None) -> float:
@@ -34,62 +34,71 @@ def exact_sum(x: np.ndarray, counts: np.ndarray | None = None) -> float:
     math.fsum(np.repeat(x, counts).tolist()) returns, without a Python float
     per term.
 
-    Each finite term is mant * 2**e (np.frexp, 1/2 <= |mant| < 1), and
-    mant * 2**27 splits exactly into hi = floor(mant * 2**27), an integer
-    with |hi| <= 2**27, and lo, a multiple of 2**-26 in [0, 1). Times a
-    count c both stay exact: hi * c is an integer of at most 2**27 * c and lo * c
-    a multiple of 2**-26 below c. Summed per exponent by np.bincount, each
-    partial sum of hi is an integer and each of lo a multiple of 2**-26,
-    below 2**53 times its unit for up to 2**26 terms, so every bin is exact.
-    Scaled by 2**(e - 27) a bin is still an exact float, subnormals
-    included, and fsum of these at most two parts per exponent is the
-    exactly rounded total. The bins drop the sign of a zero, so a zero
-    total is answered from the terms instead: +0.0 when some term is not a
-    zero, else fsum of a single zero, -0.0 when every term is -0.0 and +0.0
-    otherwise, which gives fsum's sign for zeros alone. Sums of
-    at most 1000 or more than 2**26 terms, terms large enough to overflow an
-    intermediate sum and non-finite terms go to math.fsum itself.
+    The kernel is Rump, Ogita and Oishi's error-free extraction (SIAM J.
+    Sci. Comput. 31(1), 2008), in passes over a rest r, at first x. With
+    T < 2**s terms and 2**e > max|r|, q = (sigma + r) - sigma for sigma =
+    2**(e + s) is r rounded to a multiple of u = 2**(e + s - 53), and q and
+    r - q are exact. As |q| <= 2**e = 2**(53 - s) * u, each q * count and
+    every partial sum of them, in any order, is a multiple of u below
+    2**53 * u: the pass's numpy sum is exact. The new rest is at most u a
+    term, below B = 2**(e + 2s - 53) in all, and the next e is lower by
+    52 - s or more. The passes stop once fsum of their sums is unchanged by
+    adding B or -B: rounding is monotone, so every total within B of
+    theirs, the exact one too, rounds to that float. The sums drop the sign
+    of a zero, so a zero total is answered from the terms instead: +0.0
+    when some term is not a zero, else fsum of a single zero, -0.0 when
+    every term is -0.0 and +0.0 otherwise, which gives fsum's sign for
+    zeros alone. Sums of at most 1000 terms, terms large enough to overflow
+    an intermediate sum and non-finite terms go to math.fsum itself; counts
+    totalling 2**51 or more are refused.
     """
     if counts is None:
         terms = len(x)
     else:
         if counts.shape != x.shape or counts.dtype.kind not in "iu":
             raise ValueError("counts must be whole numbers, one per term")
-        terms = int(counts.sum())
-    if _FSUM_MAX_TERMS < terms <= _BIN_MAX_TERMS:
+        # a float total cannot wrap, and it decides the bound exactly: it is
+        # exact below 2**53, and rounding is monotone
+        terms = counts.sum(dtype=float)
+        if terms >= _MAX_TERMS:
+            raise ValueError(f"counts must total less than 2**51, got {terms:g}")
+        terms = int(terms)
+    if terms > _FSUM_MAX_TERMS:
         # below the floor, x.repeat refuses a negative count itself
         if counts is not None and counts.min() < 0:
             raise ValueError("counts must be >= 0")
-        lo, exp = np.frexp(x)
-        exp = exp.astype(np.intp)
-        low, high = int(exp.min()), int(exp.max())
-        # sum |x| < 2**(high + bits) keeps both sums clear of overflow
-        if high + terms.bit_length() <= 1020:
-            exp -= low
-            # inf - inf, and inf * 0 with a count, on an inf term
-            with np.errstate(invalid="ignore"):
-                lo *= 2.0**27
-                hi = np.floor(lo)
-                lo -= hi
-                if counts is not None:
-                    hi *= counts
-                    lo *= counts
-            scale = np.arange(low - 27, high - 26)
-            parts = np.concatenate([np.ldexp(np.bincount(exp, hi), scale),
-                                    np.ldexp(np.bincount(exp, lo), scale)])
-            # frexp gives inf and NaN terms exponent 0 and a non-finite bin
-            if np.isfinite(parts).all():
-                total = math.fsum(parts.tolist())
-                if total:
-                    return total
-                # an exact zero: terms that are not all zeros cancel to
-                # +0.0, and zeros alone sum to fsum's zero of their signs
-                taken = x if counts is None else x[counts > 0]
-                if taken.any():
-                    return 0.0
-                return math.fsum([-0.0 if np.signbit(taken).all() else 0.0])
+        spread = terms.bit_length()
+        # NaN in x makes top NaN, and inf or NaN fails isfinite
+        top = max(x.max(), -x.min())
+        e = math.frexp(top)[1]
+        # sum |x| < 2**(e + spread) keeps every pass clear of overflow
+        if math.isfinite(top) and e + spread <= 1020:
+            r, parts, total = x.astype(float), [], 0.0
+            q = np.empty_like(r)
+            while top:
+                sigma = math.ldexp(1.0, e + spread)
+                np.add(r, sigma, out=q)
+                q -= sigma
+                r -= q
+                parts.append((q if counts is None else q * counts).sum())
+                # B = 0.0 when it underflows: the rest, a multiple of
+                # 2**-1074 below 2**-1075, is then zero
+                bound = math.ldexp(1.0, e + 2 * spread - 53)
+                total = math.fsum(parts)
+                if math.fsum(parts + [bound]) == total == math.fsum(parts + [-bound]):
+                    break
+                top = max(r.max(), -r.min())
+                e = math.frexp(top)[1]
+            if total:
+                return total
+            # an exact zero: terms that are not all zeros cancel to
+            # +0.0, and zeros alone sum to fsum's zero of their signs
+            taken = x if counts is None else x[counts > 0]
+            if taken.any():
+                return 0.0
+            return math.fsum([-0.0 if np.signbit(taken).all() else 0.0])
     if counts is not None:
-        x = x.repeat(counts)
+        x = x.repeat(counts.astype(np.intp, copy=False))
     return math.fsum(x.tolist())
 
 

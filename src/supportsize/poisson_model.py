@@ -12,7 +12,7 @@ Poisson pmf values. A pmf is evaluated once per level of P (P.levels, the
 runs of equal masses), and sums over symbols use distributions.exact_sum
 with each level's multiplicity. It is exactly rounded, so large supports do
 not accumulate error: it returns what math.fsum returns on the per-symbol
-terms, from per-exponent numpy sums rather than one Python float per symbol.
+terms, from a few exact numpy passes rather than one Python float per symbol.
 
 Every Poisson probability in the library comes from scipy.special: the pmf
 is poisson_pmf below, and cdfs and upper tails are pdtr and pdtrc.

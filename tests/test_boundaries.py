@@ -153,6 +153,12 @@ CASES = {
         lambda: exact_sum(np.ones(2), np.array([1500.0, 0.5])),
     "exact_sum one count for two terms":
         lambda: exact_sum(np.ones(2), np.array([1500])),
+    # the totals 2**64 + 1200 and 2**63 wrap in int64
+    "exact_sum counts past 2**64":
+        lambda: exact_sum(np.array([1 / 3, 1 / 7, 1 / 11, 1 / 13]),
+                          np.full(4, 2**62 + 300)),
+    "exact_sum counts of 2**63":
+        lambda: exact_sum(np.ones(2), np.array([2**62, 2**62])),
     "ingest_counts 3-field row":
         lambda: ingest_counts(counts_file("symbol,count\na,1,2\n")),
 }

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supportsize import distributions
 from supportsize.distributions import (
     DiscreteDistribution,
     FAMILIES,
@@ -175,6 +176,14 @@ def float_arrays(draw, sizes=st.integers(1, 1000) | st.integers(1001, 3000)):
 @example(np.full(2000, 5e-324))
 @example(np.ldexp(np.full(2000, 1.0 - 2.0**-53), 990))
 @example(np.linspace(-1.0, 1.0, 1001))
+# ties: 1024 + 2**-43 is the midpoint of 1024 and its next float, and rounds
+# to the even 1024; a term of 2**-1074 or -2**-200 moves it off the midpoint.
+# Last, terms of 2**900 that cancel down to a subnormal total
+@example(np.append(np.ones(1024), 2.0**-43))
+@example(np.append(np.ones(1024), [2.0**-43, 2.0**-1074]))
+@example(np.append(np.ones(1024), [2.0**-43, -2.0**-200]))
+@example(np.append(np.ones(1024), [2.0**-43, 2.0**-200]))
+@example(np.concatenate([np.full(600, 2.0**900), np.full(600, -2.0**900), [3e-323]]))
 def test_exact_sum_is_fsum(x):
     assert same_float(exact_sum(x), math.fsum(x.tolist()))
 
@@ -216,6 +225,12 @@ def counted_arrays(draw):
 @example((np.array([5e-324, 2.0**-1060]), np.array([2000, 3])))
 @example((np.array([1.0 - 2.0**-53, 2.0**-80]), np.array([1, 1001])))
 @example((np.array([0.1, 0.3]), np.array([1000, 0])))
+# the ties of test_exact_sum_is_fsum, with the terms counted
+@example((np.array([1.0, 2.0**-43]), np.array([1024, 1])))
+@example((np.array([1.0, 2.0**-43, 2.0**-1074]), np.array([1024, 1, 1])))
+@example((np.array([1.0, 2.0**-43, -2.0**-200]), np.array([1024, 1, 1])))
+@example((np.array([1.0, 2.0**-43, 2.0**-200]), np.array([1024, 1, 1])))
+@example((np.array([2.0**900, -2.0**900, 5e-324]), np.array([700, 700, 6])))
 def test_weighted_exact_sum_is_fsum_of_repeats(case):
     x, counts = case
     assert same_float(exact_sum(x, counts), fsum_of_repeats(x, counts))
@@ -243,18 +258,31 @@ def test_weighted_exact_sum_of_extreme_terms_is_fsum_of_repeats(x, counts):
     assert outcome(exact_sum, x, counts) == outcome(fsum_of_repeats, x, counts)
 
 
-def test_weighted_exact_sum_counts_terms_against_the_bin_bound(monkeypatch):
-    # the bound is on the expanded terms, counts.sum(), not on len(x)
-    def kernel(*args):
-        raise AssertionError("kernel called")
+def test_exact_sum_takes_unsigned_counts():
+    # on both sides of the fsum floor, as the same counts signed
+    x = np.array([0.1, -2.0 / 3])
+    for counts in ([3, 4], [3000, 4]):
+        assert same_float(exact_sum(x, np.array(counts, np.uint64)),
+                          exact_sum(x, np.array(counts)))
+
+
+def test_weighted_exact_sum_counts_terms_against_the_fsum_floor(monkeypatch):
+    # the floor is on the expanded terms, counts.sum(), not on len(x): 20
+    # values taken 50 times each are 1000 terms for fsum, 51 times the kernel
+    fsum, lengths = math.fsum, []
+
+    def counting_fsum(terms):
+        lengths.append(len(terms))
+        return fsum(terms)
 
     x = np.random.default_rng(0).standard_normal(20)
-    counts = np.full(20, 100)
-    monkeypatch.setattr(distributions, "_BIN_MAX_TERMS", 1500)
-    monkeypatch.setattr(np, "frexp", kernel)
-    assert exact_sum(x, counts) == fsum_of_repeats(x, counts)
-    with pytest.raises(AssertionError, match="kernel called"):
-        exact_sum(x, counts // 2 + 10)
+    expected = {c: fsum_of_repeats(x, np.full(20, c)) for c in (50, 51)}
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    assert exact_sum(x, np.full(20, 50)) == expected[50]
+    assert lengths == [1000]
+    lengths.clear()
+    assert exact_sum(x, np.full(20, 51)) == expected[51]
+    assert max(lengths) < 20, "fsum over the repeated terms"
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -279,18 +307,27 @@ def test_levels_merge_only_adjacent_masses():
     assert lengths.tolist() == [1, 2, 2, 2]
 
 
-def test_exact_sum_past_the_bin_bound_takes_fsum(monkeypatch):
-    # a per-exponent bin of more than 2**26 terms could round, so such
-    # arrays go to fsum; a lowered bound shows that without 2**26 terms
-    def kernel(*args):
-        raise AssertionError("kernel called")
+def fraction_sum(x, counts):
+    return float(sum(Fraction(v) * c for v, c in zip(x.tolist(), counts.tolist())))
 
-    x = np.random.default_rng(0).standard_normal(2000)
-    monkeypatch.setattr(distributions, "_BIN_MAX_TERMS", 1500)
-    monkeypatch.setattr(np, "frexp", kernel)
-    assert exact_sum(x) == math.fsum(x.tolist())
-    with pytest.raises(AssertionError, match="kernel called"):
-        exact_sum(x[:1200])
+
+def test_exact_sum_far_past_2_26_terms_is_exact_without_repeats():
+    # totals far past 2**26 terms, exact without a Python float per term:
+    # a level of 10**8 symbols must not become 10**8 floats
+    rng = np.random.default_rng(0)
+    for x, counts in [
+        (np.array([1e-8]), np.array([10**8])),
+        (np.array([1 / 3, 1 / 7, -0.1]), np.array([3 * 10**8, 2**40, 10**9])),
+        (rng.standard_normal(1000), rng.integers(0, 2**40, 1000)),
+    ]:
+        tracemalloc.start()
+        try:
+            total = exact_sum(x, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_float(total, fraction_sum(x, counts))
+        assert peak < 10**5, "the terms were repeated"
 
 
 @pytest.mark.parametrize("x, counts", [
@@ -323,7 +360,7 @@ def test_exact_sum_of_zero_is_fsum_without_repeats(x, counts, monkeypatch):
 
 def test_exact_sum_near_overflow_is_fsum():
     # fsum overflows on its running sum 2e308 although the total is 1e308;
-    # per-exponent bins would cancel first, so terms this large take fsum
+    # the kernel's passes would cancel first, so terms this large take fsum
     x = np.zeros(1500)
     x[:3] = [1e308, 1e308, -1e308]
     with pytest.raises(OverflowError):
@@ -333,7 +370,7 @@ def test_exact_sum_near_overflow_is_fsum():
 
 
 def test_long_vector_holding_inf_is_refused():
-    # the kernel would give inf a NaN bin; non-finite terms take fsum
+    # the kernel's passes would turn inf into NaN; non-finite terms take fsum
     probs = np.full(2000, 1 / 2000)
     probs[7] = math.inf
     with pytest.raises(ValueError, match="sum to inf"):
