@@ -167,7 +167,7 @@ def _cmd_verify(args) -> int:
             f"falsified={entry['falsified']:3d} skipped={entry['skipped']:3d} "
             f"min_margin={worst:.3g}"
         )
-    print(f"total runtime: {elapsed:.1f}s")
+    print(f"total runtime: {elapsed:.3g}s")
     return 2 if any_falsified else 0
 
 

@@ -17,6 +17,7 @@ Values that must lie in [0, 1] go through bounds.check_unit_interval.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -202,6 +203,9 @@ class Certificate:
 
 def _certify(name: str, margin: float, slack: float, lhs: float, rhs: float,
              detail: str = "") -> Certificate:
+    if math.isnan(margin) or math.isnan(slack):
+        raise ValueError(f"{name} check gave margin={margin}, slack={slack}: "
+                         "a NaN neither passes nor fails")
     status = "passed" if margin >= -slack else "falsified"
     return Certificate(
         name=name, status=status, lhs=lhs, rhs=rhs, margin=margin,
@@ -211,6 +215,13 @@ def _certify(name: str, margin: float, slack: float, lhs: float, rhs: float,
 
 def _skip(name: str, detail: str) -> Certificate:
     return Certificate(name=name, status="skipped", detail=detail)
+
+
+def _check_exponent(name: str, value) -> int:
+    """value as an int; ValueError unless it is a whole number >= 1."""
+    if not (float(value).is_integer() and value >= 1):
+        raise ValueError(f"{name} must be a whole number >= 1, got {value}")
+    return int(value)
 
 
 def _rounding_slack(*value_arrays) -> float:
@@ -351,6 +362,7 @@ def check_charpoly_integral(law, u: float) -> Certificate:
 def check_inverse_falling_moments(law, max_r: int = 3) -> Certificate:
     """E[prod_{j=1..r} (X + j)^{-1}] <= E[X]^{-r} for r = 1..max_r, where law
     is the (values, masses) pair that charpoly returns."""
+    max_r = _check_exponent("max_r", max_r)
     values, masses = law
     ex = math.fsum(values * masses)
     if ex <= 0:
@@ -361,8 +373,7 @@ def check_inverse_falling_moments(law, max_r: int = 3) -> Certificate:
         return _skip("inverse_falling_moments", f"E[X]^-{max_r} overflows")
     inv = _inverse_rising(values, max_r + 1)
     worst = min(
-        (ex**-r - math.fsum(masses * inv[:, r]) for r in range(1, max_r + 1)),
-        default=math.inf,
+        ex**-r - math.fsum(masses * inv[:, r]) for r in range(1, max_r + 1)
     )
     slack = 1e-12 * max(1.0, top)
     return _certify("inverse_falling_moments", worst, slack, math.nan, math.nan,
@@ -380,13 +391,13 @@ def moment_coefficients(h: int) -> tuple[int, ...]:
     bound: the Stirling numbers of the second kind S(h, 1..h), the same
     numbers as the recursion c_{h,1} = 1,
     c_{h,k} = sum_{l=k-1}^{h-1} C(h-1, l) c_{l,k-1}."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
+    h = _check_exponent("h", h)
     return tuple(map(int, stirling2(h, np.arange(1, h + 1), exact=True)))
 
 
 def check_moment_bound(inst: OracleInstance, j: int, h: int) -> Certificate:
     """E[phi_j^h] <= sum_k c_{h,k} E[phi_j]^k by exact enumeration."""
+    h = _check_exponent("h", h)
     if h > 6:
         raise ValueError("h > 6 is not supported (enumeration cost)")
     pj = inst.prevalences(j)
@@ -422,6 +433,7 @@ def check_degree2_second_moment(
 
 def check_conditional_moment(inst: OracleInstance, j: int, h: int) -> Certificate:
     """E[phi_j^h | phi_2 = 0] <= E[phi_j^h] / (1 - 2 e^{-2})^{min(m, h)}."""
+    h = _check_exponent("h", h)
     if j == 2:
         raise ValueError("j must differ from the conditioning index 2")
     mask = inst.prevalences(2) == 0
@@ -519,24 +531,54 @@ def _assert_concave(f, support: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _random_means(rng: np.random.Generator, mean_range=(0.2, 3.0)) -> np.ndarray:
-    m = int(rng.integers(1, 4))  # 1 to 3 symbols
-    return rng.uniform(*mean_range, size=m)
+# Each _draw_* helper makes all of its generator calls when called and
+# builds one case at a time as the campaign's loop takes it, so a loop holds
+# its draws as arrays, not as objects.
 
 
-def _random_poly(rng: np.random.Generator, degree: int,
-                 max_index: int = 3) -> PolyFunctional:
-    coeffs = {}
-    for _ in range(2):
-        idx = tuple(int(v) for v in rng.integers(0, max_index + 1, size=degree))
-        coeffs[idx] = float(rng.uniform(0.0, 1.0))
-    return PolyFunctional(degree=degree, coeffs=coeffs)
+def _draw_means(rng: np.random.Generator, cases: int, high: float = 3.0,
+                fewest: int = 1) -> Iterator[list[float]]:
+    """Poisson means of `cases` instances: m ~ U{1, 2, 3} symbols, raised to
+    `fewest`, and the means ~ U(0.2, high)^m."""
+    m = np.maximum(rng.integers(1, 4, size=cases), fewest)
+    values = rng.uniform(0.2, high, size=(cases, 3))
+    return (row[:k] for row, k in zip(values.tolist(), m.tolist()))
 
 
-def _random_linear(rng: np.random.Generator) -> LinearFunctional:
-    beta = rng.uniform(0.0, 1.0, size=5)
-    keep = rng.random(5) < 0.6
-    return LinearFunctional(coeffs=tuple(float(b * k) for b, k in zip(beta, keep)))
+def _draw_polys(rng: np.random.Generator, degrees,
+                top=3) -> Iterator[PolyFunctional]:
+    """One two-term polynomial per entry of degrees. A term's index tuple is
+    ~ U{0..top}^degree (top: a number, or one per case) and its coefficient
+    ~ U(0, 1); a repeated tuple keeps the second coefficient."""
+    cases = len(degrees)
+    index = rng.integers(0, np.reshape(top, (-1, 1, 1)) + 1, size=(cases, 2, 3))
+    coeffs = rng.uniform(0.0, 1.0, size=(cases, 2))
+    return (PolyFunctional(d, {tuple(t[:d]): c for t, c in zip(terms, cs)})
+            for d, terms, cs in zip(degrees, index.tolist(), coeffs.tolist()))
+
+
+def _draw_linear(rng: np.random.Generator,
+                 cases: int) -> Iterator[LinearFunctional]:
+    """Five coefficients each, each ~ U(0, 1) kept with probability 0.6, else 0."""
+    beta = rng.uniform(0.0, 1.0, size=(cases, 5))
+    beta[rng.random((cases, 5)) >= 0.6] = 0.0
+    return (LinearFunctional(tuple(row)) for row in beta.tolist())
+
+
+def _draw_supports(rng: np.random.Generator, cases: int) -> Iterator[list]:
+    """charpoly support lists: 1-5 variables of 1-4 points each, the values
+    ~ U(0, 1) and the masses ~ Dirichlet(1, ..., 1), drawn as normalised
+    Exp(1) weights."""
+    nvars = rng.integers(1, 6, size=cases)
+    npts = rng.integers(1, 5, size=(cases, 5))
+    values = rng.uniform(0.0, 1.0, size=(cases, 5, 4))
+    weights = rng.standard_exponential((cases, 5, 4))
+    weights[np.arange(4) >= npts[..., None]] = 0.0
+    masses = weights / weights.sum(axis=-1, keepdims=True)
+    return ([list(zip(v[:k], w[:k]))
+             for v, w, k in zip(vs[:n].tolist(), ws[:n].tolist(), ks)]
+            for n, vs, ws, ks in zip(nvars.tolist(), values, masses,
+                                     npts.tolist()))
 
 
 def certification_campaign(
@@ -552,6 +594,26 @@ def certification_campaign(
 
     Returns a flat list of certificates; a single falsification means one
     of the certified inequalities failed numerically beyond rounding slack.
+
+    Each check loop draws all of its cases' parameters up front, a few
+    generator calls per loop, then builds each instance and runs each check
+    in turn. The laws of a case (U is uniform, m the alphabet size):
+
+    - means: m ~ U{1, 2, 3} and the means ~ U(0.2, 3.0)^m, or U(0.2, 1.0)^m in
+      the decoupling-upper and domination loops; the degree-2 loop raises
+      m = 1 to 2, so there P(m = 2) = 2/3 and P(m = 3) = 1/3;
+    - polynomials: two terms, each an index tuple ~ U{0..top}^degree with a
+      coefficient ~ U(0, 1), where top is 3, or L in the degree-2 loop; the
+      degree is U{1, 2, 3} in decoupling-lower, 1 in decoupling-upper and
+      domination, and 2 in degree-2;
+    - linear functionals: five coefficients, each U(0, 1) kept with
+      probability 0.6, else 0 (decoupling-lower); (1, U(0, 0.3))
+      (decoupling-upper); (1,) (domination);
+    - f, (f, f') and shape uniform over their tuples; j ~ U{0..3} (moment)
+      or U{0, 1, 3} (conditional), h ~ U{1..4}, L ~ U{1, 2, 3}, and (i, j)
+      uniform over the 12 ordered pairs of distinct values in {0..3};
+    - charpoly: 1-5 variables of 1-4 points, values ~ U(0, 1), masses ~
+      Dirichlet(1, ..., 1), and u ~ U(0.05, 1).
     """
     if min(decoupling, charpoly_cases, moment, degree2, conditional, regression) < 0:
         raise ValueError("per-check counts must be >= 0")
@@ -561,71 +623,69 @@ def certification_campaign(
     certs: list[Certificate] = []
 
     monotone = (f_inv, f_exp_neg, f_inv_sq)
-    for _ in range(decoupling):
-        inst = build_instance(_random_means(rng))
-        d = int(rng.integers(1, 4))
-        poly = _random_poly(rng, d)
-        lin = _random_linear(rng)
-        f = monotone[int(rng.integers(len(monotone)))]
-        certs.append(check_decoupling_lower(inst, poly, lin, f))
+    means = _draw_means(rng, decoupling)
+    polys = _draw_polys(rng, rng.integers(1, 4, size=decoupling).tolist())
+    lins = _draw_linear(rng, decoupling)
+    picks = rng.integers(len(monotone), size=decoupling).tolist()
+    for mu, poly, lin, pick in zip(means, polys, lins, picks):
+        inst = build_instance(mu)
+        certs.append(check_decoupling_lower(inst, poly, lin, monotone[pick]))
 
-    for _ in range(decoupling):
-        # small means and few coefficients keep E[linear] above d*sigma often
-        inst = build_instance(_random_means(rng, mean_range=(0.2, 1.0)))
-        poly = _random_poly(rng, degree=1)
-        lin = LinearFunctional(coeffs=(1.0, float(rng.uniform(0, 0.3))))
+    # small means and few coefficients keep E[linear] above d*sigma often
+    means = _draw_means(rng, decoupling, high=1.0)
+    polys = _draw_polys(rng, [1] * decoupling)
+    betas = rng.uniform(0.0, 0.3, size=decoupling).tolist()
+    for mu, poly, beta in zip(means, polys, betas):
+        inst = build_instance(mu)
+        lin = LinearFunctional(coeffs=(1.0, beta))
         certs.append(check_decoupling_upper_concave(inst, poly, lin, f_neg_identity))
 
     # non-increasing functions with a dominating falling-factorial series
     dominated = ((f_inv, (0.0, 1.0)), (f_inv_sq, (0.0, 0.0, 1.0, 3.0)),
                  (f_inv_falling2, (0.0, 0.0, 1.0)))
-    for _ in range(decoupling):
-        inst = build_instance(_random_means(rng, mean_range=(0.2, 1.0)))
-        poly = _random_poly(rng, degree=1)
-        lin = LinearFunctional(coeffs=(1.0,))
-        f, fprime = dominated[int(rng.integers(len(dominated)))]
+    lin = LinearFunctional(coeffs=(1.0,))
+    means = _draw_means(rng, decoupling, high=1.0)
+    polys = _draw_polys(rng, [1] * decoupling)
+    picks = rng.integers(len(dominated), size=decoupling).tolist()
+    for mu, poly, pick in zip(means, polys, picks):
+        inst = build_instance(mu)
+        f, fprime = dominated[pick]
         certs.append(check_domination_upper(inst, poly, lin, f, fprime))
 
-    for _ in range(charpoly_cases):
-        nvars = int(rng.integers(1, 6))
-        supports = []
-        for _ in range(nvars):
-            npts = int(rng.integers(1, 5))
-            values = rng.uniform(0.0, 1.0, size=npts)
-            masses = rng.dirichlet(np.ones(npts))
-            supports.append(list(zip(values.tolist(), masses.tolist())))
-        u = float(rng.uniform(0.05, 1.0))
-        law = charpoly(supports)  # shared by both checks
+    supports = _draw_supports(rng, charpoly_cases)
+    us = rng.uniform(0.05, 1.0, size=charpoly_cases).tolist()
+    for sup, u in zip(supports, us):
+        law = charpoly(sup)  # shared by both checks
         certs.append(check_charpoly_integral(law, u))
         certs.append(check_inverse_falling_moments(law, max_r=3))
 
-    for _ in range(moment):
-        inst = build_instance(_random_means(rng))
-        j = int(rng.integers(0, 4))
-        h = int(rng.integers(1, 5))
-        certs.append(check_moment_bound(inst, j, h))
+    means = _draw_means(rng, moment)
+    js = rng.integers(0, 4, size=moment).tolist()
+    hs = rng.integers(1, 5, size=moment).tolist()
+    for mu, j, h in zip(means, js, hs):
+        certs.append(check_moment_bound(build_instance(mu), j, h))
 
-    for _ in range(degree2):
-        means = _random_means(rng)
-        if len(means) < 2:
-            means = rng.uniform(0.2, 3.0, size=2)
-        inst = build_instance(means)
-        L = int(rng.integers(1, 4))
-        poly = _random_poly(rng, degree=2, max_index=L)
-        certs.append(check_degree2_second_moment(inst, poly, k=4, L=L))
+    means = _draw_means(rng, degree2, fewest=2)
+    Ls = rng.integers(1, 4, size=degree2)
+    polys = _draw_polys(rng, [2] * degree2, top=Ls)
+    for mu, poly, L in zip(means, polys, Ls.tolist()):
+        certs.append(check_degree2_second_moment(build_instance(mu), poly, k=4, L=L))
 
-    for _ in range(conditional):
-        inst = build_instance(_random_means(rng))
-        j = int(rng.choice([0, 1, 3]))
-        h = int(rng.integers(1, 5))
-        certs.append(check_conditional_moment(inst, j, h))
+    means = _draw_means(rng, conditional)
+    js = rng.choice([0, 1, 3], size=conditional).tolist()
+    hs = rng.integers(1, 5, size=conditional).tolist()
+    for mu, j, h in zip(means, js, hs):
+        certs.append(check_conditional_moment(build_instance(mu), j, h))
 
     shapes = [lambda x: x, lambda x: x**2, lambda x: x**4]
-    for _ in range(regression):
-        inst = build_instance(_random_means(rng))
-        i, j = rng.choice(4, size=2, replace=False)
-        shape = shapes[int(rng.integers(len(shapes)))]
-        certs.append(check_negative_regression(inst, int(i), int(j), shape))
+    pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+    means = _draw_means(rng, regression)
+    picks = rng.integers(len(pairs), size=regression).tolist()
+    shape_picks = rng.integers(len(shapes), size=regression).tolist()
+    for mu, pick, shape_pick in zip(means, picks, shape_picks):
+        i, j = pairs[pick]
+        certs.append(check_negative_regression(build_instance(mu), i, j,
+                                               shapes[shape_pick]))
 
     for family in FAMILIES:  # the zoo at k = 100, n/k in {1/2, 1, 2, 4}
         P = make_distribution(family, 100)

@@ -1,9 +1,10 @@
 """Every public boundary rejects a value outside its domain with ValueError.
 
 Each domain has one checking function: n finite and > 0
-(poisson_model.check_n), k >= 2 (distributions.check_k) and values in
-[0, 1] (bounds.check_unit_interval). NaN fails each of them. The table
-also holds every other ValueError branch of the library's entry points.
+(poisson_model.check_n), k >= 2 (distributions.check_k), values in [0, 1]
+(bounds.check_unit_interval) and exponents whole numbers >= 1
+(oracle._check_exponent). NaN fails each of them. The table also holds
+every other ValueError branch of the library's entry points.
 """
 
 import math
@@ -26,9 +27,11 @@ from supportsize.oracle import (
     certification_campaign,
     charpoly,
     check_charpoly_integral,
+    check_conditional_moment,
     check_decoupling_lower,
     check_decoupling_upper_concave,
     check_degree2_second_moment,
+    check_inverse_falling_moments,
     check_moment_bound,
     check_negative_regression,
     f_inv,
@@ -119,6 +122,19 @@ CASES = {
     "check_negative_regression i=-1":
         lambda: check_negative_regression(build_instance([0.5, 1.0]), -1, 1,
                                           lambda x: x),
+    **{f"check_conditional_moment h={h}":
+       (lambda h=h: check_conditional_moment(build_instance([0.5, 1.0]), 1, h))
+       for h in (-1, 0, 1.5)},
+    **{f"check_inverse_falling_moments max_r={max_r}":
+       (lambda max_r=max_r: check_inverse_falling_moments(
+           charpoly([[(0.5, 1.0)]]), max_r=max_r))
+       for max_r in (0, -1, 2.5)},
+    "check_moment_bound h=1.5":
+        lambda: check_moment_bound(build_instance([0.5, 1.0]), 1, 1.5),
+    "check_decoupling_lower nan f":
+        lambda: check_decoupling_lower(
+            build_instance([0.5, 1.0]), PHI1, PHI0,
+            lambda x: np.full(np.shape(x), np.nan)),
     "check_decoupling_lower increasing f":
         lambda: check_decoupling_lower(build_instance([1.0]), PHI1, PHI0,
                                        lambda x: np.asarray(x, dtype=float)),

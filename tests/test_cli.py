@@ -129,6 +129,12 @@ def test_verify_passes(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert lines and all(l.startswith("PASS") for l in lines)
+    # three significant digits: one decimal read 0.0s on a campaign this small
+    runtime = out.splitlines()[-1]
+    assert runtime.startswith("total runtime: ") and runtime.endswith("s")
+    value = runtime[len("total runtime: "):-1]
+    assert float(value) > 0
+    assert len(value.lstrip("0.").replace(".", "")) <= 3
 
 
 def test_usage_error_exit_code(capsys):

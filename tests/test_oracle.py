@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -536,7 +537,7 @@ def test_campaign_certificates_are_pinned():
         conditional=10, regression=10,
     )
     assert hashlib.sha256(repr(certs).encode()).hexdigest() == (
-        "0cfc0b4b236a62647b52347be79d24325c6ac91e1ff9eed244fbc52a1b7dd971")
+        "94f40757bdc8c21e649c08d8cea9a9b8ba88efb60fe0c6fe7915211928121d17")
 
 
 @pinned_versions
@@ -548,7 +549,7 @@ def test_verify_campaign_certificates_are_pinned():
         conditional=100, regression=100,
     )
     assert hashlib.sha256(repr(certs).encode()).hexdigest() == (
-        "71912cb414a338332142baa33186457240e9d58b9fc9b807e6b30bbc6050a331")
+        "0498b4253dba42472ba593948247cfb5bd34f7bee2a50e5f7cbf318f012386f5")
 
 
 def test_campaign_rejects_negative_counts():
@@ -604,3 +605,132 @@ def test_small_campaign_has_no_falsifications():
         "cauchy_schwarz",
     ):
         assert summary[name]["passed"] > 0
+
+
+def test_campaign_builds_each_instance_and_law_once(monkeypatch):
+    # the benchmark's oracle.build_instance and oracle.charpoly spans count
+    # these calls: one per instance case and one per charpoly case
+    calls = {"build_instance": 0, "charpoly": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(oracle, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(oracle, name, counted)
+    certification_campaign(
+        seed=0, decoupling=10, charpoly_cases=20, moment=10, degree2=10,
+        conditional=10, regression=10,
+    )
+    assert calls == {"build_instance": 70, "charpoly": 20}
+
+
+def assert_law(values, law):
+    """Chi-square test of the observed values against law {value: prob}."""
+    counts = collections.Counter(values)
+    assert set(counts) <= set(law), set(counts) - set(law)
+    observed = [counts[v] for v in law]
+    expected = [len(values) * p for p in law.values()]
+    assert stats.chisquare(observed, expected).pvalue > 1e-3, (observed, expected)
+
+
+def uniform_law(values):
+    return {v: 1 / len(values) for v in values}
+
+
+def test_campaign_draws_the_documented_laws(monkeypatch):
+    # each check records its arguments instead of checking, an instance is
+    # its tuple of means and a charpoly law its support lists
+    cases = 10_000
+    seen = collections.defaultdict(list)
+
+    def recorder(name):
+        def check(*args, **kwargs):
+            seen[name].append(args + tuple(kwargs.values()))
+            return oracle.Certificate(name=name, status="skipped")
+        return check
+
+    for name, fn in vars(oracle).copy().items():
+        if name.startswith("check_") and fn.__module__ == oracle.__name__:
+            monkeypatch.setattr(oracle, name, recorder(name[len("check_"):]))
+    monkeypatch.setattr(oracle, "build_instance", tuple)
+    monkeypatch.setattr(oracle, "charpoly", lambda supports: supports)
+    certification_campaign(
+        seed=20261020, decoupling=cases, charpoly_cases=cases, moment=cases,
+        degree2=cases, conditional=cases, regression=cases,
+    )
+    assert all(len(seen[name]) == cases for name in (
+        "decoupling_lower", "decoupling_upper_concave", "domination_upper",
+        "charpoly_integral", "inverse_falling_moments", "moment_bound",
+        "degree2_second_moment", "conditional_moment", "negative_regression"))
+
+    # means: m ~ U{1, 2, 3} (degree 2 raises m = 1 to 2), each ~ U(0.2, high)
+    for name, high in (("decoupling_lower", 3.0),
+                       ("decoupling_upper_concave", 1.0),
+                       ("domination_upper", 1.0), ("moment_bound", 3.0),
+                       ("degree2_second_moment", 3.0),
+                       ("conditional_moment", 3.0),
+                       ("negative_regression", 3.0)):
+        means = [args[0] for args in seen[name]]
+        m_law = ({2: 2 / 3, 3: 1 / 3} if name == "degree2_second_moment"
+                 else uniform_law([1, 2, 3]))
+        assert_law([len(mu) for mu in means], m_law)
+        pooled = np.concatenate(means)
+        assert pooled.min() >= 0.2 and pooled.max() < high
+        assert stats.kstest(pooled, stats.uniform(0.2, high - 0.2).cdf).pvalue > 1e-3
+
+    lower = seen["decoupling_lower"]
+    assert_law([poly.degree for _, poly, _, _ in lower], uniform_law([1, 2, 3]))
+    assert_law([i for _, poly, _, _ in lower for idx in poly.coeffs for i in idx],
+               uniform_law(range(4)))
+    assert stats.kstest([c for _, poly, _, _ in lower
+                         for c in poly.coeffs.values()], "uniform").pvalue > 1e-3
+    assert_law([f for *_, f in lower], uniform_law([f_inv, f_exp_neg, f_inv_sq]))
+    betas = [b for _, _, lin, _ in lower for b in lin.coeffs]
+    assert len(betas) == 5 * cases
+    assert_law([b == 0.0 for b in betas], {True: 0.4, False: 0.6})
+
+    upper = seen["decoupling_upper_concave"]
+    assert {(poly.degree, f) for _, poly, _, f in upper} == {(1, f_neg_identity)}
+    assert {lin.coeffs[0] for _, _, lin, _ in upper} == {1.0}
+    betas = [lin.coeffs[1] for _, _, lin, _ in upper]
+    assert min(betas) >= 0.0 and max(betas) < 0.3
+    assert stats.kstest(betas, stats.uniform(0.0, 0.3).cdf).pvalue > 1e-3
+
+    dominated = seen["domination_upper"]
+    assert {(poly.degree, lin.coeffs) for _, poly, lin, _, _ in dominated} == {
+        (1, (1.0,))}
+    assert_law([f for *_, f, _ in dominated],
+               uniform_law([f_inv, f_inv_sq, f_inv_falling2]))
+
+    supports = [args[0] for args in seen["charpoly_integral"]]
+    assert [args[0] for args in seen["inverse_falling_moments"]] == supports
+    assert {args[1] for args in seen["inverse_falling_moments"]} == {3}
+    assert_law([len(sup) for sup in supports], uniform_law(range(1, 6)))
+    assert_law([len(var) for sup in supports for var in sup],
+               uniform_law(range(1, 5)))
+    for sup in supports:
+        for var in sup:
+            assert all(0.0 <= v < 1.0 and 0.0 <= w <= 1.0 for v, w in var)
+            assert abs(math.fsum(w for _, w in var) - 1.0) <= 1e-12
+    us = [args[1] for args in seen["charpoly_integral"]]
+    assert min(us) >= 0.05 and max(us) < 1.0
+
+    for name, j_values in (("moment_bound", range(4)),
+                           ("conditional_moment", (0, 1, 3))):
+        assert_law([j for _, j, _ in seen[name]], uniform_law(j_values))
+        assert_law([h for _, _, h in seen[name]], uniform_law(range(1, 5)))
+
+    degree2 = seen["degree2_second_moment"]
+    assert {(poly.degree, k) for _, poly, k, _ in degree2} == {(2, 4)}
+    assert_law([L for *_, L in degree2], uniform_law([1, 2, 3]))
+    for top in (1, 2, 3):
+        assert_law([i for _, poly, _, L in degree2 if L == top
+                    for idx in poly.coeffs for i in idx],
+                   uniform_law(range(top + 1)))
+
+    regression = seen["negative_regression"]
+    assert_law([(i, j) for _, i, j, _ in regression],
+               uniform_law([(i, j) for i in range(4) for j in range(4) if i != j]))
+    shapes = collections.Counter(shape for *_, shape in regression)
+    assert len(shapes) == 3
+    assert_law([id(shape) for *_, shape in regression],
+               uniform_law([id(shape) for shape in shapes]))
