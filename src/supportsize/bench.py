@@ -4,16 +4,18 @@ A Monte Carlo run has two steps, draw then score. _draw_cells draws every
 (distribution, n) cell of a run in one call, each as a truncated occupancy
 matrix sampled by block-seeded cdf inversion; trial t's row depends only on
 (master_seed, t), never on the trial count or on the other cells. It runs
-one symbol chunk at a time and compares the uniforms once per group of
-cells of equal support, so its memory does not grow with the support size.
-_score then scores every configured estimator on a cell with
-estimators.unseen_estimates, one call per cell, so all estimators see the
-same samples, and reduces their squared errors together. monte_carlo_mse
-is the two steps on one cell and one estimator, so its row equals the
-matching run_sweep row. Trials run serially; only run_sweep takes a
-workers argument, accepted for compatibility, and it changes neither
-results nor run time. Undefined Chao trials (phi_2 = 0) are excluded from
-the mean and reported in undefined_count, never imputed.
+one symbol chunk at a time, builds the cdfs of each law's cells from one
+cumulative poisson_pmf call per chunk, and compares the uniforms once per
+group of cells of equal support, so its memory does not grow with the
+support size. _score then scores every configured estimator on every cell
+of the run with estimators.unseen_estimates, in one call, so all
+estimators see the same samples, and reduces all their squared errors
+together. monte_carlo_mse is the two steps on one cell and one estimator,
+so its row equals the matching run_sweep row. Trials run serially; only
+run_sweep takes a workers argument, accepted for compatibility, and it
+changes neither results nor run time. Undefined Chao trials (phi_2 = 0)
+are excluded from the mean and reported in undefined_count, never
+imputed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .distributions import (FAMILIES, DiscreteDistribution, check_k,
                             make_distribution, support_size)
@@ -36,7 +37,8 @@ from .estimators import (
     support_estimate,
     unseen_estimates,
 )
-from .poisson_model import Fingerprint, MultiplicitySample, check_n, fingerprint
+from .poisson_model import (Fingerprint, MultiplicitySample, check_n,
+                            fingerprint, poisson_pmf)
 
 DEFAULT_ESTIMATORS = ("plugin", "modified_chao", "chebyshev")
 
@@ -101,21 +103,30 @@ CSV_HEADER = ("family", "k", "n", "estimator", "mse", "stderr", "trials",
               "undefined_count")
 
 
-def _chunk_cdf(P: DiscreteDistribution, n: float, ends: np.ndarray | None,
-               width: int, lo: int, hi: int) -> np.ndarray:
-    """F[j, x] = P(N_x <= j), N_x ~ Poisson(n p_x), for j < width and the
-    symbols lo <= x < hi of P, whose level runs end at ends (None when P
-    has no run longer than one symbol). pdtr runs once per level run that
-    overlaps the chunk, so F is bitwise the same for any chunking."""
+def _chunk_cdf(P: DiscreteDistribution, ns: np.ndarray,
+               ends: np.ndarray | None, width: int, lo: int,
+               hi: int) -> np.ndarray:
+    """F[c * width + j, x] = P(N_x <= j), N_x ~ Poisson(ns[c] p_x), for
+    j < width and the symbols lo <= x < hi of P, whose level runs end at
+    ends (None when P has no run longer than one symbol).
+
+    Each cdf is the running sum over j of poisson_pmf, within 1e-15 of
+    scipy's pdtr and non-decreasing in j. The pmf runs once per cell and
+    level run that overlaps the chunk, all of P's cells in one call, so F
+    is bitwise the same for any chunking and any cells drawn alongside.
+    """
     values, lengths = P.levels
-    j = np.arange(width)[:, None]
     if lengths is None:
-        return special.pdtr(j, n * values[lo:hi])
-    first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
-    runs = slice(first, last + 1)
-    repeats = (np.minimum(ends[runs], hi)
-               - np.maximum(ends[runs] - lengths[runs], lo))
-    return np.repeat(special.pdtr(j, n * values[runs]), repeats, axis=1)
+        runs, repeats = slice(lo, hi), None
+    else:
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+        runs = slice(first, last + 1)
+        repeats = (np.minimum(ends[runs], hi)
+                   - np.maximum(ends[runs] - lengths[runs], lo))
+    mu = np.multiply.outer(ns, values[runs])[:, None, :]
+    pmf = poisson_pmf(np.arange(width)[:, None], mu)
+    F = np.cumsum(pmf, axis=1).reshape(-1, pmf.shape[-1])
+    return F if repeats is None else np.repeat(F, repeats, axis=1)
 
 
 def _draw_cells(
@@ -130,7 +141,8 @@ def _draw_cells(
     uniform on [0, 1), cnt_j = #{x : U_x < F[j, x]} is phi_0 + ... + phi_j.
     Counts at or above W are lumped together; they enter the estimators
     only through seen = support - phi_0. The law is exact up to the float
-    rounding of F, which is computed once per level of P.levels.
+    rounding of F (see _chunk_cdf), which is computed once per level of
+    P.levels.
 
     Trial t is row t mod BLOCK of block t // BLOCK, whose uniforms come from
     default_rng([master_seed, t // BLOCK]), BLOCK per symbol in symbol order.
@@ -143,41 +155,52 @@ def _draw_cells(
 
     The loop runs over symbol chunks on the outside and holds one generator
     per block, each of which reads its chunks in order. Cells of equal
-    support and width form a group; the group's cdfs for the chunk are
-    stacked as (C cells x W) rows and compared with a block's uniforms in
-    one step, so cells that share their support share each compare.
-    Besides one chunk of uniforms, as drawn and transposed, the draw holds
-    the stacks, cells x W x _SYMBOL_CHUNK float64, one bool buffer of
-    BLOCK x C x W x _SYMBOL_CHUNK for the largest group, and the counts,
-    cells x trials x W int64, which become the occupancy matrices in place.
-    Nothing grows with the support size. For the default sweep (32 cells
-    at k = 1000, W = 4, 2000 trials) the counts take 2 MB, the stacks
-    0.6 MB and the buffer 2 MB.
+    support and width form a group, ordered by law (the same P object), and
+    each law's cdfs for the chunk come from one _chunk_cdf call. The
+    group's cdfs are stacked as (C cells x W) rows and compared with a
+    block's uniforms in one step, so cells that share their support share
+    each compare. Besides one chunk of uniforms, as drawn and transposed,
+    the draw holds the stacks, cells x W x _SYMBOL_CHUNK float64, one bool
+    buffer of BLOCK x C x W x _SYMBOL_CHUNK for the largest group, and the
+    counts, cells x trials x W int64, which become the occupancy matrices
+    in place. Nothing grows with the support size. For the default sweep
+    (32 cells at k = 1000, W = 4, 2000 trials) the counts take 2 MB, the
+    stacks 0.6 MB and the buffer 2 MB.
     """
     for _, n in cells:
         check_n(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    groups: dict[tuple[int, int], list[int]] = {}
+    # (support, width) -> id(P) -> the cells of that law, in cell order
+    groups: dict[tuple[int, int], dict[int, list[int]]] = {}
     for i, (P, _) in enumerate(cells):
-        groups.setdefault((len(P.probs), occupancy_width(P.k)), []).append(i)
-    counts = {key: np.zeros((len(members), trials, key[1]), np.int64)
-              for key, members in groups.items()}
-    ends = [None if P.levels[1] is None else np.cumsum(P.levels[1])
-            for P, _ in cells]
+        key = (len(P.probs), occupancy_width(P.k))
+        groups.setdefault(key, {}).setdefault(id(P), []).append(i)
+    # a group's cells law by law, the order of its cdf stack and counts, and
+    # each law's P and the n of its cells
+    members = {key: sum(by_law.values(), []) for key, by_law in groups.items()}
+    laws = {key: [(cells[law[0]][0],
+                   np.array([cells[i][1] for i in law], float))
+                  for law in by_law.values()]
+            for key, by_law in groups.items()}
+    ends = {id(P): None if P.levels[1] is None else np.cumsum(P.levels[1])
+            for P, _ in cells}
+    counts = {key: np.zeros((len(group), trials, key[1]), np.int64)
+              for key, group in members.items()}
     symbols = max(size for size, _ in groups)
     rngs = [np.random.default_rng([master_seed, b])
             for b in range(-(-trials // BLOCK))]
     # one buffer for every compare: a fresh one per step costs more in page
     # faults than the compare itself
     below = np.empty(BLOCK * min(_SYMBOL_CHUNK, symbols) * max(
-        len(members) * width for (_, width), members in groups.items()), bool)
+        len(group) * width for (_, width), group in members.items()), bool)
     for lo in range(0, symbols, _SYMBOL_CHUNK):
         hi = min(lo + _SYMBOL_CHUNK, symbols)
-        stacks = [(np.concatenate([_chunk_cdf(*cells[i], ends[i], width, lo,
+        stacks = [(np.concatenate([_chunk_cdf(P, ns, ends[id(P)], width, lo,
                                               min(hi, size))
-                                   for i in members]), counts[size, width])
-                  for (size, width), members in groups.items() if size > lo]
+                                   for P, ns in laws[size, width]]),
+                   counts[size, width])
+                  for size, width in groups if size > lo]
         for b, rng in enumerate(rngs):
             rows = slice(b * BLOCK, min(trials, (b + 1) * BLOCK))
             kept = rows.stop - rows.start
@@ -194,41 +217,48 @@ def _draw_cells(
                 by_cell = cnt.reshape(kept, len(count), -1)
                 count[:, rows] += by_cell.swapaxes(0, 1)
     occupancies = [None] * len(cells)
-    for key, members in groups.items():
+    for key, group in members.items():
         count = counts[key]
         # phi_j = cnt_j - cnt_{j-1} in place; numpy buffers the overlap
         np.subtract(count[..., 1:], count[..., :-1], out=count[..., 1:])
-        for i, occupancy in zip(members, count):
+        for i, occupancy in zip(group, count):
             occupancies[i] = occupancy
     return occupancies
 
 
 def _score(
-    P: DiscreteDistribution, n: float, estimator_ids: tuple[str, ...],
-    occupancy: np.ndarray,
+    cells: list[tuple[DiscreteDistribution, float]],
+    estimator_ids: tuple[str, ...], occupancies: list[np.ndarray],
 ) -> list[MseRow]:
-    """MSE row of each estimator on one drawn cell; NaN errors are undefined.
+    """MSE row of each estimator on each drawn cell, cell by cell; NaN
+    errors are undefined.
 
     The per-trial squared error is measured against the latent phi_0, which
     equals the support-estimation error for plug-in style estimators. The
-    errors are stacked one row per estimator, and every row's mean and
-    standard deviation come from one reduction along the trials; a row with
-    NaNs (Chao's) is reduced again over its defined trials alone.
+    errors of every cell and estimator are stacked as the rows of one
+    (cells x estimators, trials) matrix, and every row's mean and standard
+    deviation come from one reduction along the trials, which reduces each
+    row alone, as for a matrix of that row only; a row with NaNs (Chao's)
+    is reduced again over its defined trials alone.
     """
-    family = P.family or "custom"
-    phi0 = occupancy[:, 0]
-    seen = support_size(P) - phi0
-    trials = len(phi0)
-    errors = np.empty((len(estimator_ids), trials))
-    for err, estimator_id in zip(errors, estimator_ids):
-        np.subtract(phi0, unseen_estimates(occupancy, seen, estimator_id,
-                                           k=P.k, n=n), out=err)
-        np.multiply(err, err, out=err)
+    trials = len(occupancies[0])
+    errors = np.empty((len(cells), len(estimator_ids), trials))
+    for (P, n), occupancy, cell_errors in zip(cells, occupancies, errors):
+        phi0 = occupancy[:, 0]
+        seen = support_size(P) - phi0
+        for err, estimator_id in zip(cell_errors, estimator_ids):
+            np.subtract(phi0, unseen_estimates(occupancy, seen, estimator_id,
+                                               k=P.k, n=n), out=err)
+            np.multiply(err, err, out=err)
+    errors = errors.reshape(-1, trials)
     means = errors.mean(axis=1)
     stds = errors.std(axis=1, ddof=1) if trials > 1 else np.zeros_like(means)
+    labels = [(P, n, estimator_id) for P, n in cells
+              for estimator_id in estimator_ids]
     rows = []
-    for estimator_id, error, mean, std in zip(estimator_ids, errors, means,
-                                              stds):
+    for (P, n, estimator_id), error, mean, std in zip(labels, errors, means,
+                                                      stds):
+        family = P.family or "custom"
         defined = trials
         if math.isnan(mean):  # squares are never -inf: the row has a NaN
             error = error[~np.isnan(error)]
@@ -255,13 +285,15 @@ def monte_carlo_mse(
     """Monte Carlo estimate of the MSE of a support estimator under P.
 
     It is run_sweep on one cell and one estimator: the cell is drawn alone
-    by _draw_cells and scored by _score, so the row equals the matching
-    run_sweep row.
+    by _draw_cells and scored by one _score call, so the row equals the
+    matching run_sweep row. The estimator id is checked before the draw.
     """
     if master_seed < 0:
         raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    if estimator_id not in ESTIMATOR_IDS:
+        raise ValueError(f"unknown unseen estimator {estimator_id!r}")
     (occupancy,) = _draw_cells([(P, n)], trials, master_seed)
-    (row,) = _score(P, n, (estimator_id,), occupancy)
+    (row,) = _score([(P, n)], (estimator_id,), [occupancy])
     return row
 
 
@@ -270,7 +302,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[MseRow]:
 
     Two steps: every (family, n) cell is drawn in one _draw_cells call,
     which draws each block's uniforms once for the whole sweep, and then
-    one _score call per cell scores every estimator on that cell's draw.
+    one _score call scores every estimator on every cell's draw.
     Output is deterministic (byte-identical) for a given config regardless
     of worker count; workers (>= 1) changes neither the result nor the run
     time.
@@ -280,8 +312,7 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[MseRow]:
     dists = [make_distribution(family, cfg.k) for family in cfg.families]
     cells = [(P, n) for P in dists for n in cfg.n_grid]
     occupancies = _draw_cells(cells, cfg.trials, cfg.master_seed)
-    rows = [row for (P, n), occupancy in zip(cells, occupancies)
-            for row in _score(P, n, cfg.estimators, occupancy)]
+    rows = _score(cells, cfg.estimators, occupancies)
     write_rows(rows, cfg.output_path)
     return rows
 

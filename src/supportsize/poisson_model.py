@@ -15,7 +15,8 @@ not accumulate error: it returns what math.fsum returns on the per-symbol
 terms, from a few exact numpy passes rather than one Python float per symbol.
 
 Every Poisson probability in the library comes from scipy.special: the pmf
-is poisson_pmf below, and cdfs and upper tails are pdtr and pdtrc.
+is poisson_pmf below, the Monte Carlo draw's cdfs are its running sums over
+j (bench._chunk_cdf), and upper tails are pdtrc.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from supportsize import bench
 from supportsize.bench import (
@@ -244,6 +244,59 @@ def test_cells_of_equal_support_and_other_width_draw_alone(chunk,
         np.testing.assert_array_equal(occupancy, draw_cell(P, n, trials, 6))
 
 
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_two_laws_of_one_group_draw_alone(chunk, monkeypatch):
+    # a group batches the cdfs of each law's cells; two laws of equal
+    # support and width alternate in one group, with a partial last block,
+    # and every cell equals the cell drawn alone
+    if chunk is not None:
+        monkeypatch.setattr(bench, "_SYMBOL_CHUNK", chunk)
+    flat = make_distribution("uniform", 60)
+    runs = np.repeat([1.0, 2.0, 3.0], [20, 25, 15])
+    stepped = DiscreteDistribution(runs / runs.sum(), k=60, strict=False)
+    assert len(flat) == len(stepped) == 60
+    assert occupancy_width(flat.k) == occupancy_width(stepped.k) == 3
+    cells = [(flat, 30.0), (stepped, 30.0), (flat, 90.0), (stepped, 45.0),
+             (flat, 240.0), (stepped, 240.0)]
+    trials = 2 * BLOCK + 5
+    laws = []
+    cdf = bench._chunk_cdf
+    monkeypatch.setattr(bench, "_chunk_cdf",
+                        lambda P, *args: laws.append(P) or cdf(P, *args))
+    drawn = _draw_cells(cells, trials, 6)
+    chunks = -(-60 // bench._SYMBOL_CHUNK)
+    assert laws == [flat, stepped] * chunks
+    monkeypatch.setattr(bench, "_chunk_cdf", cdf)
+    for (P, n), occupancy in zip(cells, drawn):
+        assert occupancy.shape == (trials, 3)
+        np.testing.assert_array_equal(occupancy, draw_cell(P, n, trials, 6))
+
+
+@pytest.mark.parametrize("k", [60, 1000, 10**4])
+def test_draw_cdf_is_pdtr(k):
+    # the draw's cdfs are running sums of poisson_pmf; they must stay within
+    # 1e-15 of scipy's pdtr, non-decreasing in j and at most 1 + 4 ulp, from
+    # n = 5e-324 (every mean 0) to 1e308, through means near 745, where exp
+    # underflows
+    width = occupancy_width(k)
+    ns = np.concatenate([[5e-324, 1e-300, 1e-10, 1.0, 1e308],
+                         np.geomspace(1.0, 1e308, 24),
+                         k * np.array([700.0, 740.0, 744.5, 745.2, 746.0,
+                                       750.0, 800.0])])
+    j = np.arange(width)[None, :, None]
+    for family in FAMILIES:
+        P = make_distribution(family, k)
+        lengths = P.levels[1]
+        ends = None if lengths is None else np.cumsum(lengths)
+        F = bench._chunk_cdf(P, ns, ends, width, 0, len(P))
+        assert F.shape == (len(ns) * width, len(P))
+        F = F.reshape(len(ns), width, len(P))
+        exact = special.pdtr(j, np.multiply.outer(ns, P.probs)[:, None, :])
+        np.testing.assert_allclose(F, exact, rtol=0, atol=1e-15)
+        assert (np.diff(F, axis=1) >= 0).all()
+        assert F.max() <= 1 + 4 * np.spacing(1.0)
+
+
 def test_squared_error_identity():
     # (S(P) - S_hat)^2 equals (phi_0 - U_hat)^2 for composed estimators
     P = make_distribution("geometric", 80)
@@ -307,10 +360,9 @@ def test_shared_draws_match_per_estimator_rows(tmp_path):
     assert any(0 < r.undefined_count < cfg.trials for r in chao)
 
 
-def test_sweep_draws_once_and_scores_once_per_cell(tmp_path, monkeypatch):
-    # one draw for the whole sweep and one _score call per (family, n)
-    # cell, whatever the number of estimators; monte_carlo_mse is one of
-    # each
+def test_sweep_draws_once_and_scores_once(tmp_path, monkeypatch):
+    # one draw and one _score call for the whole sweep, whatever the number
+    # of cells and estimators; monte_carlo_mse is one of each
     calls = {"_draw_cells": 0, "_score": 0}
     for name in calls:
         def counted(*args, _name=name, _inner=getattr(bench, name)):
@@ -321,10 +373,19 @@ def test_sweep_draws_once_and_scores_once_per_cell(tmp_path, monkeypatch):
                       estimators=DEFAULT_ESTIMATORS, trials=20,
                       output_path=str(tmp_path / "sweep.csv"))
     assert len(run_sweep(cfg)) == 2 * 2 * 3
-    assert calls == {"_draw_cells": 1, "_score": 4}
+    assert calls == {"_draw_cells": 1, "_score": 1}
     calls.update(_draw_cells=0, _score=0)
     monte_carlo_mse(make_distribution("zipf", 60), 30.0, "plugin", 20, 0)
     assert calls == {"_draw_cells": 1, "_score": 1}
+
+
+def test_monte_carlo_checks_the_estimator_before_drawing(monkeypatch):
+    def refused(*args):
+        raise AssertionError("drew the trials of an unknown estimator")
+    monkeypatch.setattr(bench, "_draw_cells", refused)
+    with pytest.raises(ValueError, match="^unknown unseen estimator 'nope'$"):
+        monte_carlo_mse(make_distribution("uniform", 60), 30.0, "nope",
+                        10**5, 0)
 
 
 @pytest.mark.parametrize("k, chunk", [(1000, None), (60, 7)])
@@ -366,6 +427,19 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
                           trials=64, master_seed=0, output_path=str(out)))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "f90b40e6bab2cee0ee7a632a1c6579ee9a93004813bd1e02c3bf2dea8f893cf5")
+
+
+@pytest.mark.skipif(np.__version__.split(".")[:2] != ["2", "4"],
+                    reason="CSV hashes were recorded with numpy 2.4")
+def test_default_grid_csv_bytes_are_pinned(tmp_path):
+    # the whole default grid (4 families x 8 n x 3 estimators at k = 1000),
+    # with a partial last block, so every law, mean and width the sweep
+    # command draws is pinned
+    out = tmp_path / "sweep.csv"
+    run_sweep(SweepConfig(trials=2 * BLOCK + 5, master_seed=3,
+                          output_path=str(out)))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "36c32bf38a4de4e474dd1d63740a1cc2625a2b1fa1534b74c1ebb1fe9a4be19d")
 
 
 def test_run_sweep_row_count_and_csv(tmp_path):
