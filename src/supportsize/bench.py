@@ -6,7 +6,7 @@ matrix sampled by block-seeded cdf inversion; trial t's row depends only on
 (master_seed, t), never on the trial count or on the other cells. It runs
 one symbol chunk at a time, builds the cdfs of each law's cells from one
 cumulative poisson_pmf call per chunk, and compares the uniforms once per
-group of cells of equal support, so its memory does not grow with the
+law with the cells of that law, so its memory does not grow with the
 support size. _score then scores every configured estimator on every cell
 of the run with estimators.unseen_estimates, in one call, so all
 estimators see the same samples, and reduces all their squared errors
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,10 +48,10 @@ DEFAULT_ESTIMATORS = ("plugin", "modified_chao", "chebyshev")
 BLOCK = 64
 #: Symbols per batch of uniforms. It bounds the draw's working memory for
 #: any support size: the cdf stacks take cells * W * _SYMBOL_CHUNK * 8 bytes
-#: and the compare buffer BLOCK * C * W * _SYMBOL_CHUNK bytes for a group of
-#: C cells; the uniforms are consumed symbol by symbol, so it changes no
-#: draw. Below 2**15, so a chunk's counts fit the int16 sums of
-#: _draw_cells, about 3x faster than int64 ones.
+#: and the compare buffer BLOCK * C * W * _SYMBOL_CHUNK bytes for the C
+#: cells of the largest law; the uniforms are consumed symbol by symbol, so
+#: it changes no draw. Below 2**15, so a chunk's counts fit the int16 sums
+#: of _draw_cells, about 3x faster than int64 ones.
 _SYMBOL_CHUNK = 1024
 
 
@@ -154,53 +155,46 @@ def _draw_cells(
     larger one. The last block compares only the rows it keeps.
 
     The loop runs over symbol chunks on the outside and holds one generator
-    per block, each of which reads its chunks in order. Cells of equal
-    support and width form a group, ordered by law (the same P object), and
-    each law's cdfs for the chunk come from one _chunk_cdf call. The
-    group's cdfs are stacked as (C cells x W) rows and compared with a
-    block's uniforms in one step, so cells that share their support share
-    each compare. Besides one chunk of uniforms, as drawn and transposed,
-    the draw holds the stacks, cells x W x _SYMBOL_CHUNK float64, one bool
-    buffer of BLOCK x C x W x _SYMBOL_CHUNK for the largest group, and the
-    counts, cells x trials x W int64, which become the occupancy matrices
-    in place. Nothing grows with the support size. For the default sweep
-    (32 cells at k = 1000, W = 4, 2000 trials) the counts take 2 MB, the
-    stacks 0.6 MB and the buffer 2 MB.
+    per block, each of which reads its chunks in order. The cells of one
+    law (the same P object) are drawn together: the law's cdfs for the
+    chunk come from one _chunk_cdf call, stacked as (C cells x W) rows, and
+    are compared with a block's uniforms in one step. Besides one chunk of
+    uniforms, as drawn and transposed, the draw holds the stacks, cells x W
+    x _SYMBOL_CHUNK float64, one bool buffer of BLOCK x C x W x
+    _SYMBOL_CHUNK for the C cells of the largest law, and the counts, cells
+    x trials x W int64, which become the occupancy matrices in place.
+    Nothing grows with the support size. For the default sweep (32 cells at
+    k = 1000, W = 4, 2000 trials) the counts take 2 MB, the stacks 0.6 MB
+    and the buffer 2 MB.
     """
     for _, n in cells:
         check_n(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # (support, width) -> id(P) -> the cells of that law, in cell order
-    groups: dict[tuple[int, int], dict[int, list[int]]] = {}
+    # id(P) -> the cells of that law, in cell order
+    members: dict[int, list[int]] = {}
     for i, (P, _) in enumerate(cells):
-        key = (len(P.probs), occupancy_width(P.k))
-        groups.setdefault(key, {}).setdefault(id(P), []).append(i)
-    # a group's cells law by law, the order of its cdf stack and counts, and
-    # each law's P and the n of its cells
-    members = {key: sum(by_law.values(), []) for key, by_law in groups.items()}
-    laws = {key: [(cells[law[0]][0],
-                   np.array([cells[i][1] for i in law], float))
-                  for law in by_law.values()]
-            for key, by_law in groups.items()}
-    ends = {id(P): None if P.levels[1] is None else np.cumsum(P.levels[1])
-            for P, _ in cells}
-    counts = {key: np.zeros((len(group), trials, key[1]), np.int64)
-              for key, group in members.items()}
-    symbols = max(size for size, _ in groups)
+        members.setdefault(id(P), []).append(i)
+    # one record per law, in order of first appearance: its P, the n of its
+    # cells, its level-run ends, its width W and the counts of its cells
+    laws = []
+    for law in members.values():
+        P = cells[law[0]][0]
+        width = occupancy_width(P.k)
+        laws.append((P, np.array([cells[i][1] for i in law], float),
+                     None if P.levels[1] is None else np.cumsum(P.levels[1]),
+                     width, np.zeros((len(law), trials, width), np.int64)))
+    symbols = max(len(P) for P, *_ in laws)
     rngs = [np.random.default_rng([master_seed, b])
             for b in range(-(-trials // BLOCK))]
     # one buffer for every compare: a fresh one per step costs more in page
     # faults than the compare itself
     below = np.empty(BLOCK * min(_SYMBOL_CHUNK, symbols) * max(
-        len(group) * width for (_, width), group in members.items()), bool)
+        len(ns) * width for _, ns, _, width, _ in laws), bool)
     for lo in range(0, symbols, _SYMBOL_CHUNK):
         hi = min(lo + _SYMBOL_CHUNK, symbols)
-        stacks = [(np.concatenate([_chunk_cdf(P, ns, ends[id(P)], width, lo,
-                                              min(hi, size))
-                                   for P, ns in laws[size, width]]),
-                   counts[size, width])
-                  for size, width in groups if size > lo]
+        stacks = [(_chunk_cdf(P, ns, ends, width, lo, min(hi, len(P))), count)
+                  for P, ns, ends, width, count in laws if len(P) > lo]
         for b, rng in enumerate(rngs):
             rows = slice(b * BLOCK, min(trials, (b + 1) * BLOCK))
             kept = rows.stop - rows.start
@@ -209,19 +203,18 @@ def _draw_cells(
             u = rng.random((hi - lo, BLOCK))[:, :kept]
             u = np.ascontiguousarray(u.T)[:, None, :]
             for stack, count in stacks:
-                # stack row c * W + j is F[j] of the group's cell c; this
-                # 3-D compare runs faster than a 4-D (cell, trial, j, x) one
+                # stack row c * W + j is F[j] of the law's cell c; this 3-D
+                # compare runs faster than a 4-D (cell, trial, j, x) one
                 out = below[: kept * stack.size].reshape(kept, *stack.shape)
                 np.less(u[..., : stack.shape[1]], stack, out=out)
                 cnt = np.add.reduce(out, axis=-1, dtype=np.int16)
                 by_cell = cnt.reshape(kept, len(count), -1)
                 count[:, rows] += by_cell.swapaxes(0, 1)
     occupancies = [None] * len(cells)
-    for key, group in members.items():
-        count = counts[key]
+    for law, (*_, count) in zip(members.values(), laws):
         # phi_j = cnt_j - cnt_{j-1} in place; numpy buffers the overlap
         np.subtract(count[..., 1:], count[..., :-1], out=count[..., 1:])
-        for i, occupancy in zip(group, count):
+        for i, occupancy in zip(law, count):
             occupancies[i] = occupancy
     return occupancies
 
@@ -350,17 +343,24 @@ def parse_setting(key: str, text: str):
 
 
 def load_config(path) -> SweepConfig:
-    """Parse a flat key=value config file with SweepConfig field names."""
+    """Parse a flat key=value config file with SweepConfig field names.
+
+    A "#" starts a comment at the start of a line or after whitespace, so
+    a value such as runs/out#1.csv is kept whole. Each key may appear once.
+    """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[key.strip()] = parse_setting(key.strip(), val)
+            values[key] = parse_setting(key, val)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return SweepConfig(**values)

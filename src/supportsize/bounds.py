@@ -135,7 +135,7 @@ def high_collision_bound(
     """
     check_k(k)
     gap = e_phi2 - 4.0 * SIGMA_CHAO
-    if gap <= 0:
+    if not gap > 0:  # NaN fails too
         raise BoundInapplicableError(
             f"needs E[phi_2] > 4 sigma_Chao = {4 * SIGMA_CHAO:.4f}, got {e_phi2}"
         )
@@ -167,9 +167,12 @@ LOW_COLLISION_A = 1.0 / CONDITIONAL_FACTOR_BASE ** 4
 
 
 def low_collision_bound(e_phi2: float, n: float, k: int) -> float:
-    """MSE bound as a quadratic in E[phi_2], valid for any distribution."""
+    """MSE bound as a quadratic in E[phi_2], valid for any distribution;
+    E[phi_2] must be >= 0."""
     check_n(n)
     check_k(k)
+    if not e_phi2 >= 0:
+        raise ValueError(f"E[phi_2] must be >= 0, got {e_phi2}")
     a = LOW_COLLISION_A
     r = k / n
     return (

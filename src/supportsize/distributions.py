@@ -6,13 +6,15 @@ entries are at least ``1/k`` ("strict" mode), which caps the support size at
 strict mode their support is truncated to the largest prefix whose
 renormalized minimum probability still clears the ``1/k`` floor. Lenient mode
 skips the floor and keeps all k symbols.
-check_k is the package's one check of a support bound k >= 2, and exact_sum
-the package's exactly rounded sum of a float array, whose terms may repeat.
+check_k is the package's one check of a support bound, an integer k >= 2,
+and exact_sum the package's exactly rounded sum of a float array, whose
+terms may repeat.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,7 +172,13 @@ class DiscreteDistribution:
 
 
 def check_k(k: int) -> None:
-    """Reject k unless k >= 2, the domain of every entry point taking k."""
+    """Reject k unless it is an integer (operator.index takes it) and
+    k >= 2, the domain of every entry point taking k. A float k, whole or
+    not, inf or NaN, is refused."""
+    try:
+        operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     if not k >= 2:
         raise ValueError(f"k must be >= 2, got {k}")
 

@@ -225,30 +225,43 @@ def test_sweep_draw_memory_does_not_grow_with_k(tmp_path):
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_cells_of_equal_support_and_other_width_draw_alone(chunk,
                                                            monkeypatch):
-    # cells are compared in groups of equal support and width: two uniform
-    # cells on 60 symbols with W = 3 (k = 60) and W = 5 (k = 10^4) must not
-    # share a group, and every cell, drawn among cells of other supports
+    # cells are compared law by law: two uniform laws on 60 symbols with
+    # W = 3 (k = 60) and W = 5 (k = 10^4) each take their own _chunk_cdf
+    # call per chunk, and every cell, drawn among cells of other supports
     # with a partial last block, equals the cell drawn alone
     if chunk is not None:
         monkeypatch.setattr(bench, "_SYMBOL_CHUNK", chunk)
     narrow = DiscreteDistribution(np.full(60, 1 / 60), k=60)
     wide = DiscreteDistribution(np.full(60, 1 / 60), k=10**4)
     assert (occupancy_width(narrow.k), occupancy_width(wide.k)) == (3, 5)
-    cells = [(narrow, 30.0), (make_distribution("zipf", 60), 45.0),
-             (wide, 30.0), (narrow, 90.0),
-             (make_distribution("two_mixture", 200), 150.0), (wide, 90.0)]
+    zipf = make_distribution("zipf", 60)
+    mixture = make_distribution("two_mixture", 200)
+    cells = [(narrow, 30.0), (zipf, 45.0), (wide, 30.0), (narrow, 90.0),
+             (mixture, 150.0), (wide, 90.0)]
     trials = 2 * BLOCK + 5
+    laws = []
+    cdf = bench._chunk_cdf
+    monkeypatch.setattr(bench, "_chunk_cdf",
+                        lambda P, *args: laws.append(P) or cdf(P, *args))
     drawn = _draw_cells(cells, trials, 6)
+    # one call per law for each chunk that law reaches, in order of first
+    # appearance; the two uniform laws are equal in probs, so compare ids
+    order = [narrow, zipf, wide, mixture]
+    expected = [P for lo in range(0, len(mixture), bench._SYMBOL_CHUNK)
+                for P in order if len(P) > lo]
+    assert [id(P) for P in laws] == [id(P) for P in expected]
+    monkeypatch.setattr(bench, "_chunk_cdf", cdf)
     for (P, n), occupancy in zip(cells, drawn):
         assert occupancy.shape == (trials, occupancy_width(P.k))
         np.testing.assert_array_equal(occupancy, draw_cell(P, n, trials, 6))
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
-def test_two_laws_of_one_group_draw_alone(chunk, monkeypatch):
-    # a group batches the cdfs of each law's cells; two laws of equal
-    # support and width alternate in one group, with a partial last block,
-    # and every cell equals the cell drawn alone
+def test_two_laws_of_equal_support_draw_alone(chunk, monkeypatch):
+    # each law batches the cdfs of its cells; two laws of equal support and
+    # width alternate in the cells, with a partial last block, each law
+    # takes one _chunk_cdf call per chunk, and every cell equals the cell
+    # drawn alone
     if chunk is not None:
         monkeypatch.setattr(bench, "_SYMBOL_CHUNK", chunk)
     flat = make_distribution("uniform", 60)
@@ -492,14 +505,15 @@ def test_load_config(tmp_path):
         "n_grid = 100, 200.5\n"
         "estimators = plugin\n"
         "trials = 10\n"
-        "master_seed = 7\n"
-        "output_path = out.csv\n"
+        "master_seed = 7  # after whitespace, a comment\n"
+        "output_path = runs/out#1.csv\n"
     )
     cfg = load_config(cfg_path)
     assert cfg.families == ("uniform", "zipf")
     assert cfg.k == 200 and cfg.trials == 10 and cfg.master_seed == 7
     assert cfg.n_grid == (100.0, 200.5)
-    assert cfg.output_path == "out.csv"
+    # a "#" inside a value is kept
+    assert cfg.output_path == "runs/out#1.csv"
 
 
 def test_load_config_errors(tmp_path):
@@ -509,6 +523,10 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
     bad.write_text("horizon = 5\n")
     with pytest.raises(ValueError):
+        load_config(bad)
+    # a repeated key is refused, never silently won by its last value
+    bad.write_text("k = 60\ntrials = 5\nk = 80\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:3: duplicate key 'k'"):
         load_config(bad)
 
 

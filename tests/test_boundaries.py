@@ -1,10 +1,13 @@
 """Every public boundary rejects a value outside its domain with ValueError.
 
 Each domain has one checking function: n finite and > 0
-(poisson_model.check_n), k >= 2 (distributions.check_k), values in [0, 1]
+(poisson_model.check_n), k an integer >= 2 (distributions.check_k, which
+refuses a float k such as 2.5 or inf), values in [0, 1]
 (bounds.check_unit_interval) and exponents whole numbers >= 1
 (oracle._check_exponent). NaN fails each of them. The table also holds
-every other ValueError branch of the library's entry points.
+every other ValueError branch of the library's entry points. (Sweep config
+files, whose "#" starts a comment only at the start of a line or after
+whitespace, are tested in test_bench.py.)
 """
 
 import math
@@ -15,7 +18,9 @@ import pytest
 
 from supportsize.bench import (SweepConfig, estimate_from_counts, ingest_counts,
                                monte_carlo_mse)
-from supportsize.bounds import bound_report, high_collision_bound, sigma_of
+from supportsize.bounds import (bound_report, high_collision_bound,
+                               low_collision_bound, plugin_mse_bounds,
+                               sigma_of)
 from supportsize.distributions import (DiscreteDistribution, exact_sum,
                                        make_distribution)
 from supportsize.estimators import (chebyshev_coefficients, support_estimate,
@@ -68,6 +73,17 @@ CASES = {
     "SweepConfig k=1": lambda: SweepConfig(k=1),
     "bound_report k=1": lambda: bound_report(200.0, 1),
     "high_collision_bound k=1": lambda: high_collision_bound(1.0, 10.0, 1.0, 1),
+    **{f"plugin_mse_bounds k={k}": (lambda k=k: plugin_mse_bounds(10.0, k))
+       for k in (INF, 2.5, NAN)},
+    **{f"bound_report k={k}": (lambda k=k: bound_report(10.0, k))
+       for k in (INF, 2.5, NAN)},
+    **{f"make_distribution k={k}": (lambda k=k: make_distribution("uniform", k))
+       for k in (INF, 2.5, NAN)},
+    "high_collision_bound e_phi2=nan":
+        lambda: high_collision_bound(1.0, NAN, 1.0, 10),
+    **{f"low_collision_bound e_phi2={e_phi2}":
+       (lambda e_phi2=e_phi2: low_collision_bound(e_phi2, 10.0, 10))
+       for e_phi2 in (NAN, -1.0)},
     "unseen_estimates chebyshev k=1":
         lambda: unseen_estimates(ROW, SEEN, "chebyshev", k=1, n=100.0),
     "sigma_of [nan]": lambda: sigma_of([NAN]),
