@@ -2,7 +2,8 @@
 
 Builds the exact law of three symbols' count classes {0, 1, 2, 3, 4, >= 5},
 runs one example of each inequality check with its exact expectations, then
-fires the full randomized campaign and summarizes the certificates.
+fires the full randomized campaign, summarizes the certificates and replays
+the tightest one from the case it carries.
 """
 
 import time
@@ -17,6 +18,7 @@ from supportsize.oracle import (
     f_inv,
     moment_coefficients,
     phi_squared,
+    run_case,
     summarize_certificates,
 )
 
@@ -42,3 +44,14 @@ print(f"campaign: {len(certs)} certificates in {elapsed:.1f}s")
 for name, entry in sorted(summarize_certificates(certs).items()):
     print(f"  {name:26s} passed={entry['passed']:4d} "
           f"falsified={entry['falsified']} skipped={entry['skipped']}")
+
+# the passed instance case with the smallest positive margin, rebuilt and
+# re-checked from its case alone
+tight = min((c for c in certs if c.passed and c.case.means and c.margin > 0),
+            key=lambda c: c.margin)
+args = ", ".join(getattr(a, "__name__", repr(a)) for a in tight.case.args)
+again = run_case(tight.case)
+print(f"\ntightest: {tight.name} {tight.detail} margin={tight.margin:.3e}")
+print(f"  case: means={tight.case.means} args=({args})")
+print(f"  replayed: margin={again.margin:.3e} "
+      f"{'identical' if repr(again) == repr(tight) else 'DIFFERENT'}")

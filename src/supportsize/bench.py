@@ -28,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import (FAMILIES, DiscreteDistribution, check_k,
-                            make_distribution, support_size)
+from .distributions import (FAMILIES, DiscreteDistribution, check_integer,
+                            check_k, make_distribution, support_size)
 from .estimators import (
     ESTIMATOR_IDS,
     EstimatorOutput,
@@ -70,10 +70,8 @@ class SweepConfig:
     output_path: str = "sweep.csv"
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        check_integer("trials", self.trials, 1)
+        check_integer("master_seed", self.master_seed, 0)
         for key in ("families", "n_grid", "estimators"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must be nonempty")
@@ -169,8 +167,7 @@ def _draw_cells(
     """
     for _, n in cells:
         check_n(n)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_integer("trials", trials, 1)
     # id(P) -> the cells of that law, in cell order
     members: dict[int, list[int]] = {}
     for i, (P, _) in enumerate(cells):
@@ -281,8 +278,7 @@ def monte_carlo_mse(
     by _draw_cells and scored by one _score call, so the row equals the
     matching run_sweep row. The estimator id is checked before the draw.
     """
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be >= 0, got {master_seed}")
+    check_integer("master_seed", master_seed, 0)
     if estimator_id not in ESTIMATOR_IDS:
         raise ValueError(f"unknown unseen estimator {estimator_id!r}")
     (occupancy,) = _draw_cells([(P, n)], trials, master_seed)

@@ -6,9 +6,9 @@ entries are at least ``1/k`` ("strict" mode), which caps the support size at
 strict mode their support is truncated to the largest prefix whose
 renormalized minimum probability still clears the ``1/k`` floor. Lenient mode
 skips the floor and keeps all k symbols.
-check_k is the package's one check of a support bound, an integer k >= 2,
-and exact_sum the package's exactly rounded sum of a float array, whose
-terms may repeat.
+check_integer is the package's one check of an integer argument (a support
+bound, a seed or a count), check_k its k >= 2 case, and exact_sum the
+package's exactly rounded sum of a float array, whose terms may repeat.
 """
 
 from __future__ import annotations
@@ -124,7 +124,8 @@ class DiscreteDistribution:
 
     Attributes:
         probs: strictly positive probabilities, one per supported symbol.
-        k: the floor parameter; in strict mode every entry is >= 1/k.
+        k: the floor parameter, an integer >= 1; in strict mode every
+            entry is >= 1/k.
         strict: whether the 1/k floor was enforced at construction.
         levels: (values, lengths), the runs of equal adjacent entries of
             probs (see _runs): per-symbol sums run over values, each taken
@@ -143,8 +144,7 @@ class DiscreteDistribution:
         probs = np.asarray(self.probs, dtype=float)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
-        if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
+        check_integer("k", self.k, 1)
         if probs.ndim != 1 or len(probs) == 0:
             raise ValueError("probs must be a nonempty 1-D vector")
         if not np.all(probs > 0):
@@ -171,16 +171,22 @@ class DiscreteDistribution:
         return len(self.probs)
 
 
-def check_k(k: int) -> None:
-    """Reject k unless it is an integer (operator.index takes it) and
-    k >= 2, the domain of every entry point taking k. A float k, whole or
-    not, inf or NaN, is refused."""
+def check_integer(name: str, value, least: int) -> None:
+    """Reject value unless operator.index takes it and value >= least. A
+    float, whole or not, inf or NaN, is refused, while numpy integers and
+    Python ints of any size pass."""
     try:
-        operator.index(k)
+        operator.index(value)
     except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    if not k >= 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_k(k: int) -> None:
+    """Reject k unless it is an integer >= 2, the domain of every entry
+    point taking k."""
+    check_integer("k", k, 2)
 
 
 def support_size(P: DiscreteDistribution) -> int:

@@ -20,12 +20,14 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import permutations, repeat
 
 import numpy as np
 from scipy.special import pdtrc, stirling2
 
 from .bounds import CONDITIONAL_FACTOR_BASE, check_unit_interval, sigma_of
-from .distributions import FAMILIES, DiscreteDistribution, make_distribution
+from .distributions import (FAMILIES, DiscreteDistribution, check_integer,
+                            make_distribution)
 from .poisson_model import expected_prevalence, poisson_pmf
 
 MAX_SYMBOLS = 4
@@ -113,13 +115,10 @@ class OracleInstance:
         return self.phi_table[:, :top + 1] @ np.asarray(lin.coeffs, dtype=float)
 
     def poly_values(self, poly: PolyFunctional) -> np.ndarray:
-        out = np.zeros(len(self.probs))
-        for idx, coeff in poly.coeffs.items():
-            term = np.full(len(self.probs), coeff)
-            for i in idx:
-                term *= self.prevalences(i)
-            out += term
-        return out
+        # each term is coeff * phi_{i_1} * ... * phi_{i_d}, multiplied left to right
+        terms = (math.prod(map(self.prevalences, idx), start=coeff)
+                 for idx, coeff in poly.coeffs.items())
+        return sum(terms, np.zeros(len(self.probs)))
 
 
 @lru_cache(maxsize=MAX_SYMBOLS)
@@ -191,6 +190,7 @@ class Certificate:
     margin: float = math.nan
     slack: float = 0.0
     detail: str = ""
+    case: Case | None = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -456,28 +456,22 @@ def check_negative_regression(inst: OracleInstance, i: int, j: int, shape) -> Ce
         raise ValueError("i and j must differ")
     pj = inst.prevalences(j)
     si = shape(inst.prevalences(i))
-    prev = None
-    worst = math.inf
+    conds = []  # E[shape(phi_i) | phi_j = t] over the t of positive mass
     for t in range(inst.num_symbols + 1):
         mask = pj == t
         pt = float(inst.probs[mask].sum())
-        if pt <= 0:
-            continue
-        cond = float(si[mask] @ inst.probs[mask]) / pt
-        if prev is not None:
-            worst = min(worst, prev - cond)
-        prev = cond
-    if worst is math.inf:
+        if pt > 0:
+            conds.append(float(si[mask] @ inst.probs[mask]) / pt)
+    if len(conds) < 2:
         return _skip("negative_regression", "fewer than two feasible values")
+    worst = min(a - b for a, b in zip(conds, conds[1:]))
     return _certify("negative_regression", worst, 1e-12,
                     math.nan, math.nan, detail=f"i={i} j={j}")
 
 
 def check_cauchy_schwarz(P: DiscreteDistribution, n: float) -> Certificate:
     """(E[phi_1])^2 <= 2 E[phi_0] E[phi_2], via exact moments."""
-    e0 = expected_prevalence(P, n, 0)
-    e1 = expected_prevalence(P, n, 1)
-    e2 = expected_prevalence(P, n, 2)
+    e0, e1, e2 = (expected_prevalence(P, n, i) for i in range(3))
     lhs = e1 * e1
     rhs = 2.0 * e0 * e2
     slack = 1e-12 * max(1.0, lhs, rhs)
@@ -518,9 +512,7 @@ def _assert_non_increasing(f, support: np.ndarray):
 
 def _assert_concave(f, support: np.ndarray):
     """support: the sorted distinct values of the linear functional."""
-    if len(support) < 3:
-        return
-    # second divided differences must be <= 0
+    # second divided differences must be <= 0; fewer than 3 points have none
     d1 = np.diff(f(support)) / np.diff(support)
     if np.any(np.diff(d1) > 1e-10):
         raise ValueError("f is not concave on the enumerated support")
@@ -531,18 +523,53 @@ def _assert_concave(f, support: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-# Each _draw_* helper makes all of its generator calls when called and
-# builds one case at a time as the campaign's loop takes it, so a loop holds
-# its draws as arrays, not as objects.
+@dataclass(frozen=True)
+class Case:
+    """The input of one check: run_case calls check_<check> with the
+    instance of means, when they are set, followed by args."""
+
+    check: str  # the name of the check and of its certificates
+    args: tuple
+    means: tuple[float, ...] | None = None
+
+
+def run_case(case: Case) -> Certificate:
+    """The certificate of case, carrying case, so that it replays.
+
+    The instance is built and the check is looked up through the module's
+    globals at each call, so a wrapper of either sees every call.
+    """
+    inst = () if case.means is None else (build_instance(case.means),)
+    cert = globals()[f"check_{case.check}"](*inst, *case.args)
+    # the check built cert for this call alone, so its case is set in place,
+    # as a __post_init__ would, not by a copy through dataclasses.replace
+    object.__setattr__(cert, "case", case)
+    return cert
+
+
+def _cases(check: str, means, *columns) -> Iterator[Case]:
+    """One case per instance: its means and the matching entry of each
+    column, in the order of the check's arguments."""
+    return (Case(check, args, mu) for mu, args in zip(means, zip(*columns)))
+
+
+# Each _draw_* function makes all of its generator calls when called and
+# builds one case at a time as the campaign takes it, so the campaign holds
+# one check's draws as arrays, not as objects.
+
+
+def _pick(rng: np.random.Generator, options, cases: int) -> list:
+    """`cases` entries of options, each ~ U(options)."""
+    return [options[i] for i in rng.integers(len(options), size=cases).tolist()]
 
 
 def _draw_means(rng: np.random.Generator, cases: int, high: float = 3.0,
-                fewest: int = 1) -> Iterator[list[float]]:
+                fewest: int = 1) -> Iterator[tuple[float, ...]]:
     """Poisson means of `cases` instances: m ~ U{1, 2, 3} symbols, raised to
     `fewest`, and the means ~ U(0.2, high)^m."""
     m = np.maximum(rng.integers(1, 4, size=cases), fewest)
     values = rng.uniform(0.2, high, size=(cases, 3))
-    return (row[:k] for row, k in zip(values.tolist(), m.tolist()))
+    return (tuple(row[:k]) for row, k in zip(values.tolist(), m.tolist()))
 
 
 def _draw_polys(rng: np.random.Generator, degrees,
@@ -557,28 +584,123 @@ def _draw_polys(rng: np.random.Generator, degrees,
             for d, terms, cs in zip(degrees, index.tolist(), coeffs.tolist()))
 
 
-def _draw_linear(rng: np.random.Generator,
-                 cases: int) -> Iterator[LinearFunctional]:
-    """Five coefficients each, each ~ U(0, 1) kept with probability 0.6, else 0."""
+def _draw_decoupling_lower(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+    """means ~ U(0.2, 3.0)^m; a polynomial of degree ~ U{1, 2, 3} on indices
+    up to 3; a linear functional of five coefficients, each ~ U(0, 1) kept
+    with probability 0.6, else 0; f ~ U(f_inv, f_exp_neg, f_inv_sq)."""
+    means = _draw_means(rng, cases)
+    polys = _draw_polys(rng, rng.integers(1, 4, size=cases).tolist())
     beta = rng.uniform(0.0, 1.0, size=(cases, 5))
     beta[rng.random((cases, 5)) >= 0.6] = 0.0
-    return (LinearFunctional(tuple(row)) for row in beta.tolist())
+    lins = (LinearFunctional(tuple(row)) for row in beta.tolist())
+    fs = _pick(rng, (f_inv, f_exp_neg, f_inv_sq), cases)
+    return _cases("decoupling_lower", means, polys, lins, fs)
 
 
-def _draw_supports(rng: np.random.Generator, cases: int) -> Iterator[list]:
-    """charpoly support lists: 1-5 variables of 1-4 points each, the values
-    ~ U(0, 1) and the masses ~ Dirichlet(1, ..., 1), drawn as normalised
-    Exp(1) weights."""
+def _draw_decoupling_upper(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+    """means ~ U(0.2, 1.0)^m; a degree-1 polynomial on indices up to 3; the
+    linear functional (1, U(0, 0.3)); f = f_neg_identity. Small means and
+    few coefficients keep E[linear] above d*sigma often."""
+    means = _draw_means(rng, cases, high=1.0)
+    polys = _draw_polys(rng, [1] * cases)
+    lins = (LinearFunctional((1.0, beta))
+            for beta in rng.uniform(0.0, 0.3, size=cases).tolist())
+    return _cases("decoupling_upper_concave", means, polys, lins,
+                  repeat(f_neg_identity))
+
+
+def _draw_domination(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+    """means ~ U(0.2, 1.0)^m; a degree-1 polynomial on indices up to 3; the
+    linear functional (1,); (f, f') uniform over three non-increasing
+    functions, each with a dominating falling-factorial series."""
+    means = _draw_means(rng, cases, high=1.0)
+    polys = _draw_polys(rng, [1] * cases)
+    pairs = _pick(rng, ((f_inv, (0.0, 1.0)), (f_inv_sq, (0.0, 0.0, 1.0, 3.0)),
+                        (f_inv_falling2, (0.0, 0.0, 1.0))), cases)
+    return _cases("domination_upper", means, polys,
+                  repeat(LinearFunctional((1.0,))), *zip(*pairs))
+
+
+def _draw_charpoly(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+    """Laws of sums of 1-5 variables of 1-4 points each, the values ~ U(0, 1)
+    and the masses ~ Dirichlet(1, ..., 1), drawn as normalised Exp(1)
+    weights, and u ~ U(0.05, 1). charpoly builds each law once, for two
+    cases: the integral at u, and the inverse falling moments up to
+    max_r = 3."""
     nvars = rng.integers(1, 6, size=cases)
     npts = rng.integers(1, 5, size=(cases, 5))
     values = rng.uniform(0.0, 1.0, size=(cases, 5, 4))
     weights = rng.standard_exponential((cases, 5, 4))
     weights[np.arange(4) >= npts[..., None]] = 0.0
     masses = weights / weights.sum(axis=-1, keepdims=True)
-    return ([list(zip(v[:k], w[:k]))
-             for v, w, k in zip(vs[:n].tolist(), ws[:n].tolist(), ks)]
-            for n, vs, ws, ks in zip(nvars.tolist(), values, masses,
-                                     npts.tolist()))
+    us = rng.uniform(0.05, 1.0, size=cases).tolist()
+    supports = ([list(zip(v[:k], w[:k])) for v, w, k in zip(vs, ws, ks[:n])]
+                for n, vs, ws, ks in zip(nvars.tolist(), values.tolist(),
+                                         masses.tolist(), npts.tolist()))
+    return (Case(check, (law, arg)) for law, u in zip(map(charpoly, supports), us)
+            for check, arg in (("charpoly_integral", u),
+                               ("inverse_falling_moments", 3)))
+
+
+def _draw_moment(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+    """means ~ U(0.2, 3.0)^m; j ~ U{0..3}; h ~ U{1..4}."""
+    means = _draw_means(rng, cases)
+    js = rng.integers(0, 4, size=cases).tolist()
+    hs = rng.integers(1, 5, size=cases).tolist()
+    return _cases("moment_bound", means, js, hs)
+
+
+def _draw_degree2(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+    """means ~ U(0.2, 3.0)^m with m = 1 raised to 2, so P(m = 2) = 2/3 and
+    P(m = 3) = 1/3; L ~ U{1, 2, 3}; a degree-2 polynomial on indices up to
+    L; k = 4."""
+    means = _draw_means(rng, cases, fewest=2)
+    Ls = rng.integers(1, 4, size=cases)
+    polys = _draw_polys(rng, [2] * cases, top=Ls)
+    return _cases("degree2_second_moment", means, polys, repeat(4), Ls.tolist())
+
+
+def _draw_conditional(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+    """means ~ U(0.2, 3.0)^m; j ~ U{0, 1, 3}; h ~ U{1..4}."""
+    means = _draw_means(rng, cases)
+    js = _pick(rng, (0, 1, 3), cases)
+    hs = rng.integers(1, 5, size=cases).tolist()
+    return _cases("conditional_moment", means, js, hs)
+
+
+#: the non-decreasing shapes of the negative-regression cases
+REGRESSION_SHAPES = (lambda x: x, lambda x: x**2, lambda x: x**4)
+
+
+def _draw_regression(rng: np.random.Generator, cases: int) -> Iterator[Case]:
+    """means ~ U(0.2, 3.0)^m; (i, j) uniform over the 12 ordered pairs of
+    distinct values in {0..3}; shape ~ U(REGRESSION_SHAPES)."""
+    means = _draw_means(rng, cases)
+    pairs = _pick(rng, tuple(permutations(range(4), 2)), cases)
+    shapes = _pick(rng, REGRESSION_SHAPES, cases)
+    return _cases("negative_regression", means, *zip(*pairs), shapes)
+
+
+def _draw_cauchy_schwarz(rng: np.random.Generator, cases: None) -> Iterator[Case]:
+    """The zoo at k = 100 and n/k in {1/2, 1, 2, 4}: 16 fixed cases, which
+    draw nothing; no count keyword sets their number."""
+    zoo = [make_distribution(family, 100) for family in FAMILIES]
+    return (Case("cauchy_schwarz", (P, n)) for P in zoo for n in (50, 100, 200, 400))
+
+
+#: The campaign's checks in order: each check's draw and the count keyword
+#: of certification_campaign that sets how many cases it draws.
+_CAMPAIGN = (
+    (_draw_decoupling_lower, "decoupling"),
+    (_draw_decoupling_upper, "decoupling"),
+    (_draw_domination, "decoupling"),
+    (_draw_charpoly, "charpoly_cases"),
+    (_draw_moment, "moment"),
+    (_draw_degree2, "degree2"),
+    (_draw_conditional, "conditional"),
+    (_draw_regression, "regression"),
+    (_draw_cauchy_schwarz, None),
+)
 
 
 def certification_campaign(
@@ -594,105 +716,24 @@ def certification_campaign(
 
     Returns a flat list of certificates; a single falsification means one
     of the certified inequalities failed numerically beyond rounding slack.
+    Each certificate carries its case, and run_case(cert.case) replays it.
 
-    Each check loop draws all of its cases' parameters up front, a few
-    generator calls per loop, then builds each instance and runs each check
-    in turn. The laws of a case (U is uniform, m the alphabet size):
-
-    - means: m ~ U{1, 2, 3} and the means ~ U(0.2, 3.0)^m, or U(0.2, 1.0)^m in
-      the decoupling-upper and domination loops; the degree-2 loop raises
-      m = 1 to 2, so there P(m = 2) = 2/3 and P(m = 3) = 1/3;
-    - polynomials: two terms, each an index tuple ~ U{0..top}^degree with a
-      coefficient ~ U(0, 1), where top is 3, or L in the degree-2 loop; the
-      degree is U{1, 2, 3} in decoupling-lower, 1 in decoupling-upper and
-      domination, and 2 in degree-2;
-    - linear functionals: five coefficients, each U(0, 1) kept with
-      probability 0.6, else 0 (decoupling-lower); (1, U(0, 0.3))
-      (decoupling-upper); (1,) (domination);
-    - f, (f, f') and shape uniform over their tuples; j ~ U{0..3} (moment)
-      or U{0, 1, 3} (conditional), h ~ U{1..4}, L ~ U{1, 2, 3}, and (i, j)
-      uniform over the 12 ordered pairs of distinct values in {0..3};
-    - charpoly: 1-5 variables of 1-4 points, values ~ U(0, 1), masses ~
-      Dirichlet(1, ..., 1), and u ~ U(0.05, 1).
+    The campaign is one loop over _CAMPAIGN: for each check in turn, its
+    draw makes its generator calls up front, a few array calls, and the
+    campaign runs the drawn cases one by one. The three decoupling draws
+    take `decoupling` cases each and the charpoly draw `charpoly_cases`
+    laws, two cases each; the zoo's 16 Cauchy-Schwarz cases come last. The
+    law of each case parameter is in the docstring of its draw (U is
+    uniform and m the alphabet size; _draw_means and _draw_polys give the
+    laws of the means and of the polynomials). The seed and every count
+    must be integers >= 0.
     """
-    if min(decoupling, charpoly_cases, moment, degree2, conditional, regression) < 0:
-        raise ValueError("per-check counts must be >= 0")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    counts = dict(locals())  # the seed and the six counts, by keyword
+    for name, value in counts.items():
+        check_integer(name, value, 0)
     rng = np.random.default_rng(seed)
-    certs: list[Certificate] = []
-
-    monotone = (f_inv, f_exp_neg, f_inv_sq)
-    means = _draw_means(rng, decoupling)
-    polys = _draw_polys(rng, rng.integers(1, 4, size=decoupling).tolist())
-    lins = _draw_linear(rng, decoupling)
-    picks = rng.integers(len(monotone), size=decoupling).tolist()
-    for mu, poly, lin, pick in zip(means, polys, lins, picks):
-        inst = build_instance(mu)
-        certs.append(check_decoupling_lower(inst, poly, lin, monotone[pick]))
-
-    # small means and few coefficients keep E[linear] above d*sigma often
-    means = _draw_means(rng, decoupling, high=1.0)
-    polys = _draw_polys(rng, [1] * decoupling)
-    betas = rng.uniform(0.0, 0.3, size=decoupling).tolist()
-    for mu, poly, beta in zip(means, polys, betas):
-        inst = build_instance(mu)
-        lin = LinearFunctional(coeffs=(1.0, beta))
-        certs.append(check_decoupling_upper_concave(inst, poly, lin, f_neg_identity))
-
-    # non-increasing functions with a dominating falling-factorial series
-    dominated = ((f_inv, (0.0, 1.0)), (f_inv_sq, (0.0, 0.0, 1.0, 3.0)),
-                 (f_inv_falling2, (0.0, 0.0, 1.0)))
-    lin = LinearFunctional(coeffs=(1.0,))
-    means = _draw_means(rng, decoupling, high=1.0)
-    polys = _draw_polys(rng, [1] * decoupling)
-    picks = rng.integers(len(dominated), size=decoupling).tolist()
-    for mu, poly, pick in zip(means, polys, picks):
-        inst = build_instance(mu)
-        f, fprime = dominated[pick]
-        certs.append(check_domination_upper(inst, poly, lin, f, fprime))
-
-    supports = _draw_supports(rng, charpoly_cases)
-    us = rng.uniform(0.05, 1.0, size=charpoly_cases).tolist()
-    for sup, u in zip(supports, us):
-        law = charpoly(sup)  # shared by both checks
-        certs.append(check_charpoly_integral(law, u))
-        certs.append(check_inverse_falling_moments(law, max_r=3))
-
-    means = _draw_means(rng, moment)
-    js = rng.integers(0, 4, size=moment).tolist()
-    hs = rng.integers(1, 5, size=moment).tolist()
-    for mu, j, h in zip(means, js, hs):
-        certs.append(check_moment_bound(build_instance(mu), j, h))
-
-    means = _draw_means(rng, degree2, fewest=2)
-    Ls = rng.integers(1, 4, size=degree2)
-    polys = _draw_polys(rng, [2] * degree2, top=Ls)
-    for mu, poly, L in zip(means, polys, Ls.tolist()):
-        certs.append(check_degree2_second_moment(build_instance(mu), poly, k=4, L=L))
-
-    means = _draw_means(rng, conditional)
-    js = rng.choice([0, 1, 3], size=conditional).tolist()
-    hs = rng.integers(1, 5, size=conditional).tolist()
-    for mu, j, h in zip(means, js, hs):
-        certs.append(check_conditional_moment(build_instance(mu), j, h))
-
-    shapes = [lambda x: x, lambda x: x**2, lambda x: x**4]
-    pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
-    means = _draw_means(rng, regression)
-    picks = rng.integers(len(pairs), size=regression).tolist()
-    shape_picks = rng.integers(len(shapes), size=regression).tolist()
-    for mu, pick, shape_pick in zip(means, picks, shape_picks):
-        i, j = pairs[pick]
-        certs.append(check_negative_regression(build_instance(mu), i, j,
-                                               shapes[shape_pick]))
-
-    for family in FAMILIES:  # the zoo at k = 100, n/k in {1/2, 1, 2, 4}
-        P = make_distribution(family, 100)
-        for n in (50, 100, 200, 400):
-            certs.append(check_cauchy_schwarz(P, n))
-
-    return certs
+    return [run_case(case) for draw, count in _CAMPAIGN
+            for case in draw(rng, counts.get(count))]
 
 
 def summarize_certificates(certs) -> dict[str, dict[str, int]]:

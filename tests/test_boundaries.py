@@ -2,7 +2,8 @@
 
 Each domain has one checking function: n finite and > 0
 (poisson_model.check_n), k an integer >= 2 (distributions.check_k, which
-refuses a float k such as 2.5 or inf), values in [0, 1]
+refuses a float k such as 2.5 or inf; seeds, counts and a law's own k go
+through distributions.check_integer alike), values in [0, 1]
 (bounds.check_unit_interval) and exponents whole numbers >= 1
 (oracle._check_exponent). NaN fails each of them. The table also holds
 every other ValueError branch of the library's entry points. (Sweep config
@@ -109,11 +110,27 @@ CASES = {
     "monte_carlo_mse master_seed=-1":
         lambda: monte_carlo_mse(make_distribution("uniform", 10), 10.0,
                                 "plugin", trials=1, master_seed=-1),
+    "monte_carlo_mse trials=2.5":
+        lambda: monte_carlo_mse(make_distribution("uniform", 10), 10.0,
+                                "plugin", trials=2.5, master_seed=0),
+    "monte_carlo_mse master_seed=1.5":
+        lambda: monte_carlo_mse(make_distribution("uniform", 10), 10.0,
+                                "plugin", trials=1, master_seed=1.5),
     "SweepConfig master_seed=-1": lambda: SweepConfig(master_seed=-1),
+    "SweepConfig master_seed=1.5": lambda: SweepConfig(master_seed=1.5),
+    "SweepConfig trials=2.5": lambda: SweepConfig(trials=2.5),
     "certification_campaign seed=-1":
         lambda: certification_campaign(seed=-1),
+    "certification_campaign seed=1.5":
+        lambda: certification_campaign(seed=1.5),
+    **{f"certification_campaign moment={moment}":
+       (lambda moment=moment: certification_campaign(moment=moment))
+       for moment in (2.5, INF)},
     "DiscreteDistribution k=0":
         lambda: DiscreteDistribution(np.array([1.0]), k=0),
+    **{f"DiscreteDistribution k={k}":
+       (lambda k=k: DiscreteDistribution(np.full(2, 0.5), k=k))
+       for k in (2.5, INF)},
     "DiscreteDistribution empty probs":
         lambda: DiscreteDistribution(np.array([]), k=2),
     "DiscreteDistribution support > k":

@@ -552,6 +552,20 @@ def test_verify_campaign_certificates_are_pinned():
         "0498b4253dba42472ba593948247cfb5bd34f7bee2a50e5f7cbf318f012386f5")
 
 
+@pytest.mark.parametrize("size", [10, 100])
+def test_every_certificate_replays_from_its_case(size):
+    # the verify ratios at seed 0; size 100 is the default `supportsize
+    # verify` campaign. A certificate's case rebuilds its instance or law
+    # and calls the check of its name again.
+    certs = certification_campaign(
+        seed=0, decoupling=size, charpoly_cases=2 * size, moment=size,
+        degree2=size, conditional=size, regression=size,
+    )
+    for c in certs:
+        assert c.case.check == c.name
+        assert repr(oracle.run_case(c.case)) == repr(c)
+
+
 def test_campaign_rejects_negative_counts():
     with pytest.raises(ValueError):
         certification_campaign(moment=-1)
