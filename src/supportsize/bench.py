@@ -293,11 +293,10 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[MseRow]:
     which draws each block's uniforms once for the whole sweep, and then
     one _score call scores every estimator on every cell's draw.
     Output is deterministic (byte-identical) for a given config regardless
-    of worker count; workers (>= 1) changes neither the result nor the run
-    time.
+    of worker count; workers (an integer >= 1) changes neither the result
+    nor the run time.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_integer("workers", workers, 1)
     dists = [make_distribution(family, cfg.k) for family in cfg.families]
     cells = [(P, n) for P in dists for n in cfg.n_grid]
     occupancies = _draw_cells(cells, cfg.trials, cfg.master_seed)

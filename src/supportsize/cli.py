@@ -20,7 +20,7 @@ import time
 from dataclasses import fields, replace
 
 from . import bench, bounds, oracle
-from .distributions import FAMILIES, make_distribution
+from .distributions import FAMILIES, check_integer, make_distribution
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,8 +140,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     size = args.campaign_size
-    if size < 1:
-        raise ValueError(f"--campaign-size must be >= 1, got {size}")
+    check_integer("--campaign-size", size, 1)
     start = time.perf_counter()
     certs = oracle.certification_campaign(
         seed=args.seed,

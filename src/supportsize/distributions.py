@@ -6,9 +6,10 @@ entries are at least ``1/k`` ("strict" mode), which caps the support size at
 strict mode their support is truncated to the largest prefix whose
 renormalized minimum probability still clears the ``1/k`` floor. Lenient mode
 skips the floor and keeps all k symbols.
-check_integer is the package's one check of an integer argument (a support
-bound, a seed or a count), check_k its k >= 2 case, and exact_sum the
-package's exactly rounded sum of a float array, whose terms may repeat.
+check_integer is the package's one check of a scalar integer argument (a
+bound, seed, count, index, degree or exponent), check_k its k >= 2 case, and
+exact_sum the package's exactly rounded sum of a float array, whose terms
+may repeat.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from scipy.special import pdtrc, stirling2
 
 from .bounds import CONDITIONAL_FACTOR_BASE, check_unit_interval, sigma_of
 from .distributions import (FAMILIES, DiscreteDistribution, check_integer,
-                            make_distribution)
+                            check_k, make_distribution)
 from .poisson_model import expected_prevalence, poisson_pmf
 
 MAX_SYMBOLS = 4
@@ -53,11 +53,12 @@ class PolyFunctional:
     coeffs: dict[tuple[int, ...], float]
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+        check_integer("degree", self.degree, 1)
         for idx in self.coeffs:
-            if len(idx) != self.degree or any(i < 0 for i in idx):
+            if len(idx) != self.degree:
                 raise ValueError(f"bad index tuple {idx} for degree {self.degree}")
+            for i in idx:
+                check_integer(f"index in {idx}", i, 0)
 
     def max_index(self) -> int:
         return max((max(idx) for idx in self.coeffs), default=0)
@@ -99,8 +100,7 @@ class OracleInstance:
 
     def prevalences(self, i: int) -> np.ndarray:
         """phi_i evaluated on every cell."""
-        if i < 0:
-            raise ValueError(f"prevalence index must be >= 0, got {i}")
+        check_integer("prevalence index", i, 0)
         if i > MAX_PREVALENCE:
             raise ValueError(f"prevalence index {i} is above {MAX_PREVALENCE}, "
                              "the largest the class law answers")
@@ -215,13 +215,6 @@ def _certify(name: str, margin: float, slack: float, lhs: float, rhs: float,
 
 def _skip(name: str, detail: str) -> Certificate:
     return Certificate(name=name, status="skipped", detail=detail)
-
-
-def _check_exponent(name: str, value) -> int:
-    """value as an int; ValueError unless it is a whole number >= 1."""
-    if not (float(value).is_integer() and value >= 1):
-        raise ValueError(f"{name} must be a whole number >= 1, got {value}")
-    return int(value)
 
 
 def _rounding_slack(*value_arrays) -> float:
@@ -362,7 +355,7 @@ def check_charpoly_integral(law, u: float) -> Certificate:
 def check_inverse_falling_moments(law, max_r: int = 3) -> Certificate:
     """E[prod_{j=1..r} (X + j)^{-1}] <= E[X]^{-r} for r = 1..max_r, where law
     is the (values, masses) pair that charpoly returns."""
-    max_r = _check_exponent("max_r", max_r)
+    check_integer("max_r", max_r, 1)
     values, masses = law
     ex = math.fsum(values * masses)
     if ex <= 0:
@@ -385,19 +378,20 @@ def check_inverse_falling_moments(law, max_r: int = 3) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
+# typed, so that h = 2.0 is checked, not answered from np.int64(2)'s entry
+@lru_cache(maxsize=64, typed=True)
 def moment_coefficients(h: int) -> tuple[int, ...]:
     """Integer coefficients (c_{h,1}, ..., c_{h,h}) of the Poisson moment
     bound: the Stirling numbers of the second kind S(h, 1..h), the same
     numbers as the recursion c_{h,1} = 1,
     c_{h,k} = sum_{l=k-1}^{h-1} C(h-1, l) c_{l,k-1}."""
-    h = _check_exponent("h", h)
+    check_integer("h", h, 1)
     return tuple(map(int, stirling2(h, np.arange(1, h + 1), exact=True)))
 
 
 def check_moment_bound(inst: OracleInstance, j: int, h: int) -> Certificate:
     """E[phi_j^h] <= sum_k c_{h,k} E[phi_j]^k by exact enumeration."""
-    h = _check_exponent("h", h)
+    check_integer("h", h, 1)
     if h > 6:
         raise ValueError("h > 6 is not supported (enumeration cost)")
     pj = inst.prevalences(j)
@@ -418,8 +412,10 @@ def check_degree2_second_moment(
     if poly.degree != 2:
         raise ValueError("poly must have degree 2")
     check_unit_interval(poly.coeffs.values())
-    if poly.max_index() > L or L < 1:
-        raise ValueError("poly indices must be <= L with L >= 1")
+    check_integer("L", L, 1)
+    if poly.max_index() > L:
+        raise ValueError(f"poly indices must be <= L = {L}")
+    check_k(k)
     if not 1 < inst.num_symbols <= k:
         raise ValueError("needs 1 < alphabet size <= k")
     pv = inst.poly_values(poly)
@@ -433,7 +429,7 @@ def check_degree2_second_moment(
 
 def check_conditional_moment(inst: OracleInstance, j: int, h: int) -> Certificate:
     """E[phi_j^h | phi_2 = 0] <= E[phi_j^h] / (1 - 2 e^{-2})^{min(m, h)}."""
-    h = _check_exponent("h", h)
+    check_integer("h", h, 1)
     if j == 2:
         raise ValueError("j must differ from the conditioning index 2")
     mask = inst.prevalences(2) == 0
@@ -533,12 +529,20 @@ class Case:
     means: tuple[float, ...] | None = None
 
 
+#: the checks a Case may name: this module's check_* functions, unprefixed
+CHECKS = tuple(name[len("check_"):] for name, obj in globals().items()
+               if name.startswith("check_")
+               and getattr(obj, "__module__", None) == __name__)
+
+
 def run_case(case: Case) -> Certificate:
     """The certificate of case, carrying case, so that it replays.
 
     The instance is built and the check is looked up through the module's
     globals at each call, so a wrapper of either sees every call.
     """
+    if case.check not in CHECKS:
+        raise ValueError(f"unknown oracle check {case.check!r}; choose from {CHECKS}")
     inst = () if case.means is None else (build_instance(case.means),)
     cert = globals()[f"check_{case.check}"](*inst, *case.args)
     # the check built cert for this call alone, so its case is set in place,
@@ -668,8 +672,20 @@ def _draw_conditional(rng: np.random.Generator, cases: int) -> Iterator[Case]:
     return _cases("conditional_moment", means, js, hs)
 
 
+def shape_identity(x):
+    return x
+
+
+def shape_square(x):
+    return x**2
+
+
+def shape_fourth_power(x):
+    return x**4
+
+
 #: the non-decreasing shapes of the negative-regression cases
-REGRESSION_SHAPES = (lambda x: x, lambda x: x**2, lambda x: x**4)
+REGRESSION_SHAPES = (shape_identity, shape_square, shape_fourth_power)
 
 
 def _draw_regression(rng: np.random.Generator, cases: int) -> Iterator[Case]:

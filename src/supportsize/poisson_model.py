@@ -22,16 +22,32 @@ j (bench._chunk_cdf), and upper tails are pdtrc.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .distributions import DiscreteDistribution, exact_sum, support_size
+from .distributions import (DiscreteDistribution, check_integer, exact_sum,
+                            support_size)
 
 
 class UndefinedBiasError(ZeroDivisionError):
     """E[phi_2] is zero, so the collision-based bias expression is undefined."""
+
+
+def _whole_numbers(what: str, values) -> np.ndarray:
+    """values as an int64 array, whole floats converted. ValueError names the
+    first entry, in C order, that is not a whole number in int64's range (a
+    fraction, inf, NaN, a string, 2**63); int64 input is not copied."""
+    array = np.asarray(values)
+    if not np.can_cast(array.dtype, np.int64):
+        # the entries as given: beside "3", numpy would turn 1 into "1"
+        for value in np.asarray(values, dtype=object).ravel().tolist():
+            if not (isinstance(value, numbers.Real) and value % 1 == 0
+                    and -2**63 <= value < 2**63):
+                raise ValueError(f"{what} must be whole numbers, got {value!r}")
+    return array.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -41,13 +57,7 @@ class MultiplicitySample:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.dtype.kind not in "biu":
-            whole = np.isfinite(counts) & (np.trunc(counts) == counts)
-            if not whole.all():
-                raise ValueError(f"multiplicities must be whole numbers, "
-                                 f"got {counts[~whole][0]}")
-        counts = counts.astype(np.int64, copy=False)
+        counts = _whole_numbers("multiplicities", self.counts)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         if np.any(counts < 0):
@@ -66,12 +76,10 @@ class Fingerprint:
     phi0: int | None = None
 
     def __post_init__(self):
-        phi = {int(i): int(c) for i, c in self.phi.items() if c != 0}
-        # equal to its input, zeros aside, exactly when every value is whole
-        if phi != self.phi and phi != {i: c for i, c in self.phi.items() if c != 0}:
-            bad = next(v for item in self.phi.items() for v in item if v != int(v))
-            raise ValueError(
-                f"fingerprint keys and counts must be whole numbers, got {bad}")
+        what = "fingerprint keys and counts"
+        counts = _whole_numbers(what, list(self.phi.values()))
+        keys = _whole_numbers(what, list(self.phi))
+        phi = {i: c for i, c in zip(keys.tolist(), counts.tolist()) if c != 0}
         if any(i < 1 for i in phi) or any(c < 0 for c in phi.values()):
             raise ValueError("fingerprint keys must be >= 1 with counts >= 0")
         object.__setattr__(self, "phi", phi)
@@ -124,9 +132,7 @@ def _pmf(P: DiscreteDistribution, n: float, i: int) -> np.ndarray:
     """Poisson pmf of i at mean n*p (see poisson_pmf), one value per level
     of P: P.levels[1] gives how many symbols share it."""
     check_n(n)
-    if not (i >= 0 and i % 1 == 0):
-        raise ValueError(f"prevalence index i must be a whole number >= 0, "
-                         f"got {i}")
+    check_integer("prevalence index i", i, 0)
     return poisson_pmf(i, n * P.levels[0])
 
 

@@ -2,13 +2,15 @@
 
 Each domain has one checking function: n finite and > 0
 (poisson_model.check_n), k an integer >= 2 (distributions.check_k, which
-refuses a float k such as 2.5 or inf; seeds, counts and a law's own k go
-through distributions.check_integer alike), values in [0, 1]
-(bounds.check_unit_interval) and exponents whole numbers >= 1
-(oracle._check_exponent). NaN fails each of them. The table also holds
-every other ValueError branch of the library's entry points. (Sweep config
-files, whose "#" starts a comment only at the start of a line or after
-whitespace, are tested in test_bench.py.)
+refuses a float k such as 2.5 or inf), any other integer argument, such as
+a seed, a count, a law's own k, a worker count, a prevalence index, a
+degree or an exponent, through distributions.check_integer alike (a whole
+float such as 2.0 is refused too), and values in [0, 1]
+(bounds.check_unit_interval). NaN fails each of them. The table also holds
+every other ValueError branch of the library's entry points; counts given
+as data, which may be whole floats, are tested in test_poisson_model.py.
+(Sweep config files, whose "#" starts a comment only at the start of a line
+or after whitespace, are tested in test_bench.py.)
 """
 
 import math
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from supportsize.bench import (SweepConfig, estimate_from_counts, ingest_counts,
-                               monte_carlo_mse)
+                               monte_carlo_mse, run_sweep)
 from supportsize.bounds import (bound_report, high_collision_bound,
                                low_collision_bound, plugin_mse_bounds,
                                sigma_of)
@@ -27,6 +29,7 @@ from supportsize.distributions import (DiscreteDistribution, exact_sum,
 from supportsize.estimators import (chebyshev_coefficients, support_estimate,
                                     unseen_estimates)
 from supportsize.oracle import (
+    Case,
     LinearFunctional,
     PolyFunctional,
     build_instance,
@@ -43,6 +46,7 @@ from supportsize.oracle import (
     f_inv,
     moment_coefficients,
     phi_squared,
+    run_case,
 )
 from supportsize.poisson_model import (Fingerprint, MultiplicitySample,
                                        expected_prevalence, fingerprint,
@@ -53,6 +57,8 @@ FP = Fingerprint({1: 3, 2: 1})
 ROW, SEEN = [[0, 3, 1, 0, 0, 0]], [4]
 PHI1 = PolyFunctional(1, {(1,): 1.0})
 PHI0 = LinearFunctional((1.0,))
+SMALL_SWEEP = SweepConfig(families=("uniform",), k=10, n_grid=(10.0,),
+                          estimators=("plugin",), trials=1)
 
 
 def counts_file(text: str) -> str:
@@ -116,6 +122,9 @@ CASES = {
     "monte_carlo_mse master_seed=1.5":
         lambda: monte_carlo_mse(make_distribution("uniform", 10), 10.0,
                                 "plugin", trials=1, master_seed=1.5),
+    **{f"run_sweep workers={workers}":
+       (lambda workers=workers: run_sweep(SMALL_SWEEP, workers=workers))
+       for workers in (1.5, NAN)},
     "SweepConfig master_seed=-1": lambda: SweepConfig(master_seed=-1),
     "SweepConfig master_seed=1.5": lambda: SweepConfig(master_seed=1.5),
     "SweepConfig trials=2.5": lambda: SweepConfig(trials=2.5),
@@ -142,28 +151,56 @@ CASES = {
     "unseen_estimates chebyshev row narrower than L + 1":
         lambda: unseen_estimates([[0, 3, 1]], SEEN, "chebyshev", k=1000, n=100.0),
     "PolyFunctional degree 0": lambda: PolyFunctional(0, {}),
+    **{f"PolyFunctional degree {degree}":
+       (lambda degree=degree: PolyFunctional(degree, {}))
+       for degree in (1.5, 2.0)},
+    "PolyFunctional index 1.0": lambda: PolyFunctional(1, {(1.0,): 1.0}),
     "moment_coefficients h=0": lambda: moment_coefficients(0),
+    "moment_coefficients h=3.0": lambda: moment_coefficients(3.0),
+    # the cache must not answer 2.0 from the entry of an equal numpy integer
+    "moment_coefficients h=2.0 after h=np.int64(2)":
+        lambda: (moment_coefficients(np.int64(2)), moment_coefficients(2.0)),
     "check_degree2_second_moment degree-1 poly":
         lambda: check_degree2_second_moment(build_instance([1.0, 1.0]), PHI1,
                                             k=4, L=1),
     "check_degree2_second_moment 1 symbol":
         lambda: check_degree2_second_moment(build_instance([1.0]),
                                             phi_squared(1), k=4, L=1),
+    "check_degree2_second_moment L=1.5":
+        lambda: check_degree2_second_moment(build_instance([1.0, 1.0]),
+                                            phi_squared(1), k=4, L=1.5),
+    "check_degree2_second_moment k=4.5":
+        lambda: check_degree2_second_moment(build_instance([1.0, 1.0]),
+                                            phi_squared(1), k=4.5, L=1),
     "prevalences i=-1": lambda: build_instance([0.5, 1.0]).prevalences(-1),
+    "prevalences i=1.0": lambda: build_instance([0.5, 1.0]).prevalences(1.0),
     "check_moment_bound j=-1":
         lambda: check_moment_bound(build_instance([0.5, 1.0]), -1, 2),
+    "check_moment_bound j=1.0":
+        lambda: check_moment_bound(build_instance([0.5, 1.0]), 1.0, 2),
     "check_negative_regression i=-1":
         lambda: check_negative_regression(build_instance([0.5, 1.0]), -1, 1,
                                           lambda x: x),
+    **{f"check_negative_regression i={i} j={j}":
+       (lambda i=i, j=j: check_negative_regression(build_instance([0.5, 1.0]),
+                                                   i, j, lambda x: x))
+       for i, j in ((1.0, 0), (1, 0.0))},
+    "check_conditional_moment j=1.0":
+        lambda: check_conditional_moment(build_instance([0.5, 1.0]), 1.0, 2),
     **{f"check_conditional_moment h={h}":
        (lambda h=h: check_conditional_moment(build_instance([0.5, 1.0]), 1, h))
-       for h in (-1, 0, 1.5)},
+       for h in (-1, 0, 1.5, 2.0)},
     **{f"check_inverse_falling_moments max_r={max_r}":
        (lambda max_r=max_r: check_inverse_falling_moments(
            charpoly([[(0.5, 1.0)]]), max_r=max_r))
-       for max_r in (0, -1, 2.5)},
-    "check_moment_bound h=1.5":
-        lambda: check_moment_bound(build_instance([0.5, 1.0]), 1, 1.5),
+       for max_r in (0, -1, 2.5, 2.0)},
+    **{f"check_moment_bound h={h}":
+       (lambda h=h: check_moment_bound(build_instance([0.5, 1.0]), 1, h))
+       for h in (1.5, 2.0)},
+    **{f"run_case {check}": (lambda check=check, args=args:
+                             run_case(Case(check, args)))
+       for check, args in (("nope", ()), ("unit_interval", ([0.5],)),
+                           ("integer", ("x", 1, 0)))},
     "check_decoupling_lower nan f":
         lambda: check_decoupling_lower(
             build_instance([0.5, 1.0]), PHI1, PHI0,
@@ -193,7 +230,7 @@ CASES = {
        (lambda moment=moment, i=i:
         moment(make_distribution("uniform", 100), 50.0, i))
        for moment in (expected_prevalence, prevalence_second_moment)
-       for i in (-1, 1.5, NAN, INF)},
+       for i in (-1, 1.5, NAN, INF, 2.0)},
     "exact_sum negative count":
         lambda: exact_sum(np.ones(2), np.array([2000, -1])),
     "exact_sum negative count below the fsum floor":

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import inspect
 import itertools
 import math
 
@@ -564,6 +565,19 @@ def test_every_certificate_replays_from_its_case(size):
     for c in certs:
         assert c.case.check == c.name
         assert repr(oracle.run_case(c.case)) == repr(c)
+
+
+def test_cases_name_the_checks_and_the_functions_they_pass():
+    # a certificate's name is one of CHECKS, and every function a case
+    # passes, a regression shape too, is the module function of its name
+    certs = certification_campaign(seed=0, decoupling=5, charpoly_cases=5,
+                                   moment=5, degree2=5, conditional=5,
+                                   regression=30)
+    assert sorted({c.name for c in certs}) == sorted(oracle.CHECKS)
+    passed = {arg for c in certs for arg in c.case.args
+              if inspect.isfunction(arg)}
+    assert set(oracle.REGRESSION_SHAPES) < passed
+    assert all(getattr(oracle, fn.__name__) is fn for fn in passed)
 
 
 def test_campaign_rejects_negative_counts():

@@ -284,6 +284,17 @@ def test_monte_carlo_prevalence_mean(zoo_distribution):
     (lambda: MultiplicitySample(np.array([3.0, np.nan])), "nan"),
     (lambda: Fingerprint({1: 2.5, 2.7: 1}), "2.5"),
     (lambda: Fingerprint({2.7: 1}), "2.7"),
+    pytest.param(lambda: Fingerprint({1: math.inf}), "inf",
+                 id="Fingerprint {1: inf}"),
+    pytest.param(lambda: Fingerprint({1: math.nan}), "nan",
+                 id="Fingerprint {1: nan}"),
+    pytest.param(lambda: MultiplicitySample([1, 2**70]), str(2**70),
+                 id="MultiplicitySample [1, 2**70]"),
+    pytest.param(lambda: MultiplicitySample(["3"]), "'3'",
+                 id="MultiplicitySample ['3']"),
+    # past int64, where support_estimate's occupancy row would overflow
+    pytest.param(lambda: Fingerprint({1: 10**30}), str(10**30),
+                 id="Fingerprint {1: 10**30}"),
 ])
 def test_non_whole_values_are_refused_by_name(make, value):
     with pytest.raises(ValueError, match=f"whole numbers, got {value}$"):
