@@ -2,12 +2,15 @@
 
 A Monte Carlo run has two steps, draw then score. _draw_cells draws every
 (distribution, n) cell of a run in one call, each as a truncated occupancy
-matrix sampled by block-seeded cdf inversion; trial t's row depends only on
-(master_seed, t), never on the trial count or on the other cells. It runs
-one symbol chunk at a time, builds the cdfs of each law's cells from one
-cumulative poisson_pmf call per chunk, and compares the uniforms once per
-law with the cells of that law, so its memory does not grow with the
-support size. _score then scores every configured estimator on every cell
+matrix; trial t's row depends only on (master_seed, t), never on the trial
+count or on the other cells. A law whose runs of equal mass are long
+(uniform and two_mixture) is drawn as one multinomial per run of symbols
+and block of trials, so its cost does not grow with the support size.
+Every other law is sampled by block-seeded cdf inversion, one symbol chunk
+at a time: the cdfs of each law's cells come from one cumulative
+poisson_pmf call per chunk, and the uniforms are compared once per law
+with the cells of that law, so its memory does not grow with the support
+size. _score then scores every configured estimator on every cell
 of the run with estimators.unseen_estimates, in one call, so all
 estimators see the same samples, and reduces all their squared errors
 together. monte_carlo_mse is the two steps on one cell and one estimator,
@@ -53,6 +56,12 @@ BLOCK = 64
 #: it changes no draw. Below 2**15, so a chunk's counts fit the int16 sums
 #: of _draw_cells, about 3x faster than int64 ones.
 _SYMBOL_CHUNK = 1024
+#: Least mean run length len(P) / len(P.levels[0]) of a law that
+#: _draw_cells draws run by run rather than symbol by symbol. A run's
+#: multinomial costs about as much as comparing 130-250 of its symbols
+#: (8 cells, W = 4 or 5, measured on a 2-vCPU x86 guest). Part of the
+#: output contract: a new value changes the rows of laws it moves.
+_RUN_CUTOFF = 192
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,39 @@ def _chunk_cdf(P: DiscreteDistribution, ns: np.ndarray,
     return F if repeats is None else np.repeat(F, repeats, axis=1)
 
 
+def _draw_levels(P: DiscreteDistribution, ns: np.ndarray, count: np.ndarray,
+                 master_seed: int) -> None:
+    """Add to count[c] (trials x W) the occupancy of the cell of P at n =
+    ns[c], drawn one level run of P.levels at a time.
+
+    Under Poisson sampling the c symbols of a run fall into the classes
+    0, ..., W-1 and >= W independently, each with the same masses q, so
+    the run's share of phi_0..phi_{W-1} is one Multinomial(c, q) draw.
+    Block b draws from default_rng([master_seed, b, 1]), restarted from
+    its first state for each cell, run by run in level order. Every run
+    but the last draws the whole block, so the stream the next run starts
+    from does not depend on the rows kept; the last draws the kept rows,
+    the leading rows of its whole-block draw.
+    """
+    values, lengths = P.levels
+    lengths = lengths.tolist()
+    trials, width = count.shape[1:]
+    # q[c, v, j] = P(N_x = j) for the symbols of run v in cell c; numpy
+    # takes the last class as the rest, so the pmf at W stands in for >= W
+    q = poisson_pmf(np.arange(width + 1),
+                    np.multiply.outer(ns, values)[..., None])
+    for b in range(-(-trials // BLOCK)):
+        rows = slice(b * BLOCK, min(trials, (b + 1) * BLOCK))
+        sizes = [BLOCK] * (len(lengths) - 1) + [rows.stop - rows.start]
+        rng = np.random.default_rng([master_seed, b, 1])
+        start = rng.bit_generator.state
+        for cell, cell_q in zip(count, q):
+            rng.bit_generator.state = start
+            for c, run_q, size in zip(lengths, cell_q, sizes):
+                drawn = rng.multinomial(c, run_q, size=size)
+                cell[rows] += drawn[: rows.stop - rows.start, :width]
+
+
 def _draw_cells(
     cells: list[tuple[DiscreteDistribution, float]], trials: int,
     master_seed: int,
@@ -135,35 +177,43 @@ def _draw_cells(
     """(trials x W) occupancy matrix of each (P, n) cell, W =
     occupancy_width(P.k).
 
-    Row t holds phi_0..phi_{W-1} of one Poisson(n p) sample. Only each
-    symbol's class min(N_x, W) is drawn: with F[j, x] = P(N_x <= j) and U
-    uniform on [0, 1), cnt_j = #{x : U_x < F[j, x]} is phi_0 + ... + phi_j.
-    Counts at or above W are lumped together; they enter the estimators
-    only through seen = support - phi_0. The law is exact up to the float
-    rounding of F (see _chunk_cdf), which is computed once per level of
-    P.levels.
+    Row t holds phi_0..phi_{W-1} of one Poisson(n p) sample; counts at or
+    above W are lumped together and enter the estimators only through
+    seen = support - phi_0. Trial t is row t mod BLOCK of block t // BLOCK,
+    whose random numbers depend only on (master_seed, t // BLOCK). So a
+    cell's rows do not depend on the other cells it is drawn with, and
+    whole blocks are always drawn, so the rows for a trial count are the
+    leading rows for any larger one. The cells of one law (the same P
+    object) are drawn together, by one of two paths.
 
-    Trial t is row t mod BLOCK of block t // BLOCK, whose uniforms come from
-    default_rng([master_seed, t // BLOCK]), BLOCK per symbol in symbol order.
-    Each block's uniforms are drawn once for all the cells, up to the
-    largest support, one symbol chunk at a time; a cell with S symbols
-    counts against the first S * BLOCK of them. So a cell's rows do not
-    depend on the other cells it is drawn with, and whole blocks are always
-    drawn, so the rows for a trial count are the leading rows for any
-    larger one. The last block compares only the rows it keeps.
+    A law whose runs of equal mass average at least _RUN_CUTOFF symbols
+    (uniform from k = 192 and two_mixture from k = 768) is drawn run by
+    run, by _draw_levels: its cost and memory do not grow with the support
+    size.
 
-    The loop runs over symbol chunks on the outside and holds one generator
-    per block, each of which reads its chunks in order. The cells of one
-    law (the same P object) are drawn together: the law's cdfs for the
-    chunk come from one _chunk_cdf call, stacked as (C cells x W) rows, and
-    are compared with a block's uniforms in one step. Besides one chunk of
-    uniforms, as drawn and transposed, the draw holds the stacks, cells x W
-    x _SYMBOL_CHUNK float64, one bool buffer of BLOCK x C x W x
-    _SYMBOL_CHUNK for the C cells of the largest law, and the counts, cells
-    x trials x W int64, which become the occupancy matrices in place.
-    Nothing grows with the support size. For the default sweep (32 cells at
-    k = 1000, W = 4, 2000 trials) the counts take 2 MB, the stacks 0.6 MB
-    and the buffer 2 MB.
+    Every other law is drawn symbol by symbol by block-seeded cdf
+    inversion: only each symbol's class min(N_x, W) is drawn. With F[j, x]
+    = P(N_x <= j) and U uniform on [0, 1), cnt_j = #{x : U_x < F[j, x]} is
+    phi_0 + ... + phi_j. The law is exact up to the float rounding of F
+    (see _chunk_cdf), which is computed once per level of P.levels. Block
+    b's uniforms come from default_rng([master_seed, b]), BLOCK per symbol
+    in symbol order, drawn once for all these laws, up to their largest
+    support, one symbol chunk at a time; a cell with S symbols counts
+    against the first S * BLOCK of them. The last block compares only the
+    rows it keeps.
+
+    That loop runs over symbol chunks on the outside and holds one
+    generator per block, each of which reads its chunks in order. A law's
+    cdfs for the chunk come from one _chunk_cdf call, stacked as (C cells
+    x W) rows, and are compared with a block's uniforms in one step.
+    Besides one chunk of uniforms, as drawn and transposed, the draw holds
+    the stacks, cells x W x _SYMBOL_CHUNK float64, one bool buffer of
+    BLOCK x C x W x _SYMBOL_CHUNK for the C cells of the largest law, and
+    the counts, cells x trials x W int64, which become the occupancy
+    matrices in place. Nothing grows with the support size. For the zipf
+    and geometric cells of the default sweep (16 cells at k = 1000, W = 4,
+    2000 trials) the counts take 1 MB, the stacks 0.2 MB and the buffer
+    1.4 MB.
     """
     for _, n in cells:
         check_n(n)
@@ -172,22 +222,28 @@ def _draw_cells(
     members: dict[int, list[int]] = {}
     for i, (P, _) in enumerate(cells):
         members.setdefault(id(P), []).append(i)
-    # one record per law, in order of first appearance: its P, the n of its
-    # cells, its level-run ends, its width W and the counts of its cells
-    laws = []
+    # the counts of each law's cells, in order of first appearance, and one
+    # record per law drawn by the compare: its P, the n of its cells, its
+    # level-run ends, its width W and its counts
+    counts, laws = [], []
     for law in members.values():
         P = cells[law[0]][0]
         width = occupancy_width(P.k)
-        laws.append((P, np.array([cells[i][1] for i in law], float),
-                     None if P.levels[1] is None else np.cumsum(P.levels[1]),
-                     width, np.zeros((len(law), trials, width), np.int64)))
-    symbols = max(len(P) for P, *_ in laws)
+        ns = np.array([cells[i][1] for i in law], float)
+        count = np.zeros((len(law), trials, width), np.int64)
+        counts.append(count)
+        if len(P) >= _RUN_CUTOFF * len(P.levels[0]):
+            _draw_levels(P, ns, count, master_seed)
+        else:
+            laws.append((P, ns, None if P.levels[1] is None
+                         else np.cumsum(P.levels[1]), width, count))
+    symbols = max((len(P) for P, *_ in laws), default=0)
     rngs = [np.random.default_rng([master_seed, b])
-            for b in range(-(-trials // BLOCK))]
+            for b in range(-(-trials // BLOCK))] if laws else []
     # one buffer for every compare: a fresh one per step costs more in page
     # faults than the compare itself
     below = np.empty(BLOCK * min(_SYMBOL_CHUNK, symbols) * max(
-        len(ns) * width for _, ns, _, width, _ in laws), bool)
+        (len(ns) * width for _, ns, _, width, _ in laws), default=0), bool)
     for lo in range(0, symbols, _SYMBOL_CHUNK):
         hi = min(lo + _SYMBOL_CHUNK, symbols)
         stacks = [(_chunk_cdf(P, ns, ends, width, lo, min(hi, len(P))), count)
@@ -207,10 +263,11 @@ def _draw_cells(
                 cnt = np.add.reduce(out, axis=-1, dtype=np.int16)
                 by_cell = cnt.reshape(kept, len(count), -1)
                 count[:, rows] += by_cell.swapaxes(0, 1)
-    occupancies = [None] * len(cells)
-    for law, (*_, count) in zip(members.values(), laws):
+    for *_, count in laws:
         # phi_j = cnt_j - cnt_{j-1} in place; numpy buffers the overlap
         np.subtract(count[..., 1:], count[..., :-1], out=count[..., 1:])
+    occupancies = [None] * len(cells)
+    for law, count in zip(members.values(), counts):
         for i, occupancy in zip(law, count):
             occupancies[i] = occupancy
     return occupancies

@@ -94,8 +94,6 @@ def unseen_estimates(
     if estimator_id == "chebyshev":
         if k is None or n is None:
             raise ValueError("chebyshev estimator requires k and n")
-        check_k(k)
-        check_n(n)
         g = chebyshev_coefficients(k, float(n))
         if occupancy.shape[1] <= len(g):
             raise ValueError(
@@ -119,7 +117,12 @@ def support_estimate(
 
     The chebyshev choice is a direct linear support estimator and requires
     k and n. The chao choice raises UndefinedEstimateError when phi_2 = 0.
+    k and n are checked whenever they are given, whichever the estimator.
     """
+    if k is not None:
+        check_k(k)
+    if n is not None:
+        check_n(n)
     row = [[fp.phi.get(i, 0) for i in range(occupancy_width(k))]]
     seen = sum(fp.phi.values())
     unseen = float(unseen_estimates(row, [seen], estimator_id, k=k, n=n)[0])
@@ -142,8 +145,11 @@ def chebyshev_coefficients(
     g_j = 1 - j! p_j / p_0.
     Returns an empty array (pure plug-in) when the degree cutoff is below 1
     or the interval degenerates, which happens once n is large enough that
-    every symbol is well sampled.
+    every symbol is well sampled. k and n are checked as every entry point
+    checks them.
     """
+    check_k(k)
+    check_n(n)
     if not (0 < c0 < math.inf and 0 < c1 < math.inf):
         raise ValueError(f"c0 and c1 must be positive and finite, got {c0}, {c1}")
     L = _degree(k, c0)

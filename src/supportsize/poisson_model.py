@@ -97,11 +97,14 @@ def check_n(n: float, *, allow_zero: bool = False) -> None:
 def sample(P: DiscreteDistribution, n: float, seed) -> MultiplicitySample:
     """Draw per-symbol multiplicities, Poisson(n * p_x) independently.
 
-    Deterministic given the seed. numpy's generator uses exact inversion for
-    small means and an exact transformed-rejection method for large ones,
-    never a normal approximation.
+    Deterministic given the seed, an integer >= 0 or a sequence of them.
+    numpy's generator uses exact inversion for small means and an exact
+    transformed-rejection method for large ones, never a normal
+    approximation.
     """
     check_n(n)
+    for entry in np.asarray(seed, dtype=object).ravel().tolist():
+        check_integer("seed", entry, 0)
     rng = np.random.default_rng(seed)
     return MultiplicitySample(rng.poisson(n * P.probs))
 

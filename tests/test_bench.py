@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,12 @@ def test_monte_carlo_matches_exact_plugin_mse():
     exact = exact_plugin_mse(P, 100.0)
     assert abs(row.mse - exact) <= 4 * row.stderr
     assert row.undefined_count == 0
+    # at k = 1000 uniform and two_mixture are drawn run by run
+    for family in ("uniform", "two_mixture"):
+        P = make_distribution(family, 1000)
+        for n in (500.0, 2000.0):
+            row = monte_carlo_mse(P, n, "plugin", trials=20_000, master_seed=2)
+            assert abs(row.mse - exact_plugin_mse(P, n)) <= 4 * row.stderr
 
 
 def test_monte_carlo_agrees_with_direct_estimators():
@@ -130,6 +137,81 @@ def test_draw_cell_matches_exact_joint_law():
         assert p_value > 1e-3, (case, means, p_value)
 
 
+def class_law(means, size):
+    """law[a, b, d] = P(phi_0 = a, phi_1 = b, phi_2 = d) for independent
+    Poisson counts of the given means, added one symbol at a time, for
+    a, b, d <= size."""
+    law = np.zeros((size + 1,) * 3)
+    law[0, 0, 0] = 1.0
+    for q0, q1, q2 in stats.poisson.pmf(np.arange(3), np.c_[means]):
+        new = law * (1.0 - q0 - q1 - q2)
+        new[1:] += q0 * law[:-1]
+        new[:, 1:] += q1 * law[:, :-1]
+        new[:, :, 1:] += q2 * law[:, :, :-1]
+        law = new
+    return law
+
+
+@pytest.mark.parametrize("runs", [(40,), (40, 30)])
+def test_level_draw_matches_exact_joint_law(runs, monkeypatch):
+    # chi-square of the drawn (phi_0, phi_1, phi_2) of a law drawn run by
+    # run against its exact law, which adds the symbols one at a time: a
+    # run's multinomial for one run, their convolution for two. The cutoff
+    # is lowered so that runs of a few dozen symbols take that path; cells
+    # expected fewer than 5 times are pooled. The seed was fixed before
+    # the first run.
+    monkeypatch.setattr(bench, "_RUN_CUTOFF", 30)
+    monkeypatch.setattr(bench, "_chunk_cdf", None)  # no symbol is compared
+    masses = np.repeat([1.0, 3.0][: len(runs)], runs)
+    P = DiscreteDistribution(masses / masses.sum(), k=100, strict=False)
+    assert occupancy_width(P.k) == 3
+    n, trials = 1.2 * masses.sum(), 20_000
+    drawn = draw_cell(P, n, trials, 11)
+    expected = trials * class_law(n * P.probs, len(P)).ravel()
+    observed = np.bincount(
+        np.ravel_multi_index(drawn.T, (len(P) + 1,) * 3),
+        minlength=len(expected))
+    rare = expected < 5
+    assert expected[rare].sum() >= 5 and (~rare).sum() > 50
+    p_value = stats.chisquare(
+        np.append(observed[~rare], observed[rare].sum()),
+        np.append(expected[~rare], expected[rare].sum())).pvalue
+    assert p_value > 1e-3, (runs, p_value)
+
+
+def test_level_draw_rows_do_not_depend_on_trial_count(monkeypatch):
+    # every run but the last draws whole blocks, so the rows for a trial
+    # count are the leading rows for any larger one on laws of 1, 2 and 3
+    # runs too
+    monkeypatch.setattr(bench, "_chunk_cdf", None)  # no symbol is compared
+    runs = np.repeat([1.0, 2.0, 3.0], 300)
+    stepped = DiscreteDistribution(runs / runs.sum(), k=1000, strict=False)
+    for P in (make_distribution("uniform", 1000),
+              make_distribution("two_mixture", 1000), stepped):
+        full = draw_cell(P, 700.0, 4 * BLOCK + 3, 8)
+        for trials in (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK - 5):
+            np.testing.assert_array_equal(draw_cell(P, 700.0, trials, 8),
+                                          full[:trials])
+
+
+def test_level_draw_of_a_million_symbols_is_fast_and_small():
+    # a uniform cell at k = 10^6 is one multinomial per block: no array of
+    # the draw has a term in k (one float64 per symbol would be 8 MB)
+    P = make_distribution("uniform", 10**6)
+    trials = 4 * BLOCK
+    counts = trials * occupancy_width(P.k) * 8
+    start = time.perf_counter()
+    draw_cell(P, 2e6, trials, 0)
+    assert time.perf_counter() - start < 0.5
+    tracemalloc.start()
+    try:
+        draw_cell(P, 2e6, trials, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * counts + 2**16, (peak, counts)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_draw_cell_prevalence_means(family):
     # the mean of every drawn phi_j, j < W, within 4.5 exact standard errors
@@ -168,8 +250,9 @@ def test_draw_cell_does_not_depend_on_symbol_chunk(monkeypatch):
 
 def test_draw_cell_memory_is_bounded_per_block():
     # a block's uniforms are drawn in symbol chunks: one (BLOCK x k) float64
-    # array alone would be 51 MB at k = 10^5
-    P = make_distribution("uniform", 10**5)
+    # array alone would be 51 MB at k = 10^5 (geometric keeps 69 % of the
+    # symbols, all of distinct masses, so it is drawn by the compare)
+    P = make_distribution("geometric", 10**5)
     tracemalloc.start()
     try:
         draw_cell(P, 2e5, 2 * BLOCK, 0)
@@ -225,19 +308,25 @@ def test_sweep_draw_memory_does_not_grow_with_k(tmp_path):
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_cells_of_equal_support_and_other_width_draw_alone(chunk,
                                                            monkeypatch):
-    # cells are compared law by law: two uniform laws on 60 symbols with
-    # W = 3 (k = 60) and W = 5 (k = 10^4) each take their own _chunk_cdf
-    # call per chunk, and every cell, drawn among cells of other supports
-    # with a partial last block, equals the cell drawn alone
+    # cells are compared law by law: two laws of the same 60 distinct
+    # masses with W = 3 (k = 60) and W = 5 (k = 10^4) each take their own
+    # _chunk_cdf call per chunk, and every cell, drawn among cells of other
+    # supports and among laws drawn run by run (uniform and two_mixture at
+    # k = 1000, which take no _chunk_cdf call), with a partial last block,
+    # equals the cell drawn alone
     if chunk is not None:
         monkeypatch.setattr(bench, "_SYMBOL_CHUNK", chunk)
-    narrow = DiscreteDistribution(np.full(60, 1 / 60), k=60)
-    wide = DiscreteDistribution(np.full(60, 1 / 60), k=10**4)
+    masses = 0.97 ** np.arange(60)
+    narrow = DiscreteDistribution(masses / masses.sum(), k=60, strict=False)
+    wide = DiscreteDistribution(masses / masses.sum(), k=10**4, strict=False)
     assert (occupancy_width(narrow.k), occupancy_width(wide.k)) == (3, 5)
     zipf = make_distribution("zipf", 60)
-    mixture = make_distribution("two_mixture", 200)
-    cells = [(narrow, 30.0), (zipf, 45.0), (wide, 30.0), (narrow, 90.0),
-             (mixture, 150.0), (wide, 90.0)]
+    geometric = make_distribution("geometric", 200)
+    flat = make_distribution("uniform", 1000)
+    mixture = make_distribution("two_mixture", 1000)
+    cells = [(narrow, 30.0), (flat, 500.0), (zipf, 45.0), (wide, 30.0),
+             (mixture, 2000.0), (narrow, 90.0), (geometric, 150.0),
+             (wide, 90.0), (flat, 4000.0)]
     trials = 2 * BLOCK + 5
     laws = []
     cdf = bench._chunk_cdf
@@ -245,9 +334,9 @@ def test_cells_of_equal_support_and_other_width_draw_alone(chunk,
                         lambda P, *args: laws.append(P) or cdf(P, *args))
     drawn = _draw_cells(cells, trials, 6)
     # one call per law for each chunk that law reaches, in order of first
-    # appearance; the two uniform laws are equal in probs, so compare ids
-    order = [narrow, zipf, wide, mixture]
-    expected = [P for lo in range(0, len(mixture), bench._SYMBOL_CHUNK)
+    # appearance; narrow and wide are equal in probs, so compare ids
+    order = [narrow, zipf, wide, geometric]
+    expected = [P for lo in range(0, len(geometric), bench._SYMBOL_CHUNK)
                 for P in order if len(P) > lo]
     assert [id(P) for P in laws] == [id(P) for P in expected]
     monkeypatch.setattr(bench, "_chunk_cdf", cdf)
@@ -261,16 +350,23 @@ def test_two_laws_of_equal_support_draw_alone(chunk, monkeypatch):
     # each law batches the cdfs of its cells; two laws of equal support and
     # width alternate in the cells, with a partial last block, each law
     # takes one _chunk_cdf call per chunk, and every cell equals the cell
-    # drawn alone
+    # drawn alone, also beside two laws of the same support and width that
+    # are drawn run by run and take no _chunk_cdf call
     if chunk is not None:
         monkeypatch.setattr(bench, "_SYMBOL_CHUNK", chunk)
-    flat = make_distribution("uniform", 60)
+    masses = 0.97 ** np.arange(60)
+    flat = DiscreteDistribution(masses / masses.sum(), k=60, strict=False)
     runs = np.repeat([1.0, 2.0, 3.0], [20, 25, 15])
     stepped = DiscreteDistribution(runs / runs.sum(), k=60, strict=False)
     assert len(flat) == len(stepped) == 60
     assert occupancy_width(flat.k) == occupancy_width(stepped.k) == 3
-    cells = [(flat, 30.0), (stepped, 30.0), (flat, 90.0), (stepped, 45.0),
-             (flat, 240.0), (stepped, 240.0)]
+    monkeypatch.setattr(bench, "_RUN_CUTOFF", 30)
+    uniform = make_distribution("uniform", 60)
+    halves = np.repeat([1.0, 3.0], 30)
+    mixture = DiscreteDistribution(halves / halves.sum(), k=60, strict=False)
+    cells = [(flat, 30.0), (uniform, 30.0), (stepped, 30.0), (flat, 90.0),
+             (mixture, 45.0), (stepped, 45.0), (flat, 240.0),
+             (uniform, 240.0), (stepped, 240.0), (mixture, 90.0)]
     trials = 2 * BLOCK + 5
     laws = []
     cdf = bench._chunk_cdf
@@ -439,7 +535,7 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
     run_sweep(SweepConfig(k=1000, n_grid=(2000.0,), estimators=ESTIMATOR_IDS,
                           trials=64, master_seed=0, output_path=str(out)))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "f90b40e6bab2cee0ee7a632a1c6579ee9a93004813bd1e02c3bf2dea8f893cf5")
+        "01ea9daa7443f88dbdd19ec23896b0c9db606c73b028cbf331cd3fc908b1cd6c")
 
 
 @pytest.mark.skipif(np.__version__.split(".")[:2] != ["2", "4"],
@@ -452,7 +548,7 @@ def test_default_grid_csv_bytes_are_pinned(tmp_path):
     run_sweep(SweepConfig(trials=2 * BLOCK + 5, master_seed=3,
                           output_path=str(out)))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "36c32bf38a4de4e474dd1d63740a1cc2625a2b1fa1534b74c1ebb1fe9a4be19d")
+        "09dd04bcc666773bcf1c491a5b59d25ebe2990cc95ac57e4a0464e728702882b")
 
 
 def test_run_sweep_row_count_and_csv(tmp_path):

@@ -50,7 +50,7 @@ from supportsize.oracle import (
 )
 from supportsize.poisson_model import (Fingerprint, MultiplicitySample,
                                        expected_prevalence, fingerprint,
-                                       prevalence_second_moment)
+                                       prevalence_second_moment, sample)
 
 INF, NAN = math.inf, math.nan
 FP = Fingerprint({1: 3, 2: 1})
@@ -110,6 +110,17 @@ CASES = {
        (lambda name=name, value=value:
         chebyshev_coefficients(1000, 100.0, **{name: value}))
        for name in ("c0", "c1") for value in (0.0, NAN, INF)},
+    **{f"chebyshev_coefficients k={k} n={n}":
+       (lambda k=k, n=n: chebyshev_coefficients(k, n))
+       for k, n in ((1000, NAN), (1000, INF), (1000, -5.0), (2.5, 100.0),
+                    (1, 100.0))},
+    **{f"support_estimate plugin {name}={value}":
+       (lambda name=name, value=value:
+        support_estimate(FP, "plugin", **{name: value}))
+       for name, value in (("k", 2.5), ("k", 0), ("n", NAN), ("n", -1.0))},
+    **{f"sample seed={seed}":
+       (lambda seed=seed: sample(make_distribution("uniform", 10), 10.0, seed))
+       for seed in (1.5, [7, 2.5], None)},
     "monte_carlo_mse trials=0":
         lambda: monte_carlo_mse(make_distribution("uniform", 10), 10.0,
                                 "plugin", trials=0, master_seed=0),
