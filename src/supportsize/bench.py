@@ -23,7 +23,9 @@ imputed.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass, field
@@ -348,7 +350,9 @@ def run_sweep(cfg: SweepConfig, workers: int = 1) -> list[MseRow]:
 
     Two steps: every (family, n) cell is drawn in one _draw_cells call,
     which draws each block's uniforms once for the whole sweep, and then
-    one _score call scores every estimator on every cell's draw.
+    one _score call scores every estimator on every cell's draw. A family
+    listed twice is one shared law (see make_distribution), whose cells
+    are drawn together, with the rows each copy would have alone.
     Output is deterministic (byte-identical) for a given config regardless
     of worker count; workers (an integer >= 1) changes neither the result
     nor the run time.
@@ -454,15 +458,15 @@ def _graphic(byte: np.ndarray) -> np.ndarray:
     return (byte > 0x20) & (byte < 0x7F)
 
 
-def _parse_counts(text: str) -> np.ndarray | None:
-    """The int64 counts of a counts file's text, parsed as whole numpy
-    columns of its UTF-8 bytes; None when the text needs the per-row parse
-    of _read_counts.
+def _parse_counts(data: bytes | str) -> np.ndarray | None:
+    """The int64 counts of a counts file's UTF-8 bytes (a text is encoded
+    first), parsed as whole numpy columns; None when the file needs the
+    per-row parse of _read_counts.
 
-    Text with a quote, a NUL (which csv refuses before Python 3.11) or a CR
-    is handed over whole. Otherwise csv's default dialect ends a line only
+    A file with a quote, a NUL (which csv refuses before Python 3.11) or a
+    CR is handed over whole. Otherwise csv's default dialect ends a line only
     at "\n" and cuts it at every "," and nowhere else, so the lines can be
-    cut as whole columns, with no per-row Python. This path takes a text
+    cut as whole columns, with no per-row Python. This path takes a file
     only when its header reads symbol,count and every other line has
     exactly one ",", every field is within csv.field_size_limit() in UTF-8
     bytes, every count is 1 to 18 ASCII digits, and every symbol has at most
@@ -474,11 +478,18 @@ def _parse_counts(text: str) -> np.ndarray | None:
     This path then accepts only what _read_counts accepts, with the same
     counts in the same order.
     """
-    if '"' in text or "\0" in text or "\r" in text:
+    if isinstance(data, str):
+        data = data.encode()
+    if b'"' in data or b"\0" in data or b"\r" in data:
         return None
-    lines = text.rstrip("\n")
-    # 8 bytes of padding let an 8-byte word be read at every field start
-    raw = np.frombuffer(f"{lines}\n".encode() + bytes(8), np.uint8)
+    end = len(data)
+    while end and data[end - 1] == ord("\n"):
+        end -= 1
+    # the lines, each ended by one "\n", then 8 bytes of padding, which let
+    # an 8-byte word be read at every field start
+    raw = np.zeros(end + 9, np.uint8)
+    raw[:end] = np.frombuffer(data, np.uint8, end)
+    raw[end] = ord("\n")
     cuts = np.flatnonzero((raw == ord(",")) | (raw == ord("\n")))
     if raw[cuts].tobytes() != b",\n" * (len(cuts) // 2):
         return None
@@ -548,26 +559,32 @@ def _read_counts(path, lines) -> list[int]:
 def ingest_counts(path) -> Fingerprint:
     """Read a symbol,count CSV into a fingerprint (phi0 unknown).
 
-    The file is decoded as UTF-8, after a byte-order mark if it has one.
-    An unquoted LF-ended file of plain digit counts and distinct symbols of
-    at most 8 bytes is parsed column-wise by numpy (_parse_counts, which
-    lists the files it hands over). Any other file is read again and parsed
-    row by row (_read_counts), with the same result, or the error it raises.
-    A file that is not UTF-8 is refused with the line of its first bad byte.
+    The file is read once, as bytes, and must be UTF-8 after a byte-order
+    mark if it has one; only a file with a byte of 0x80 or more is decoded
+    to check that. An unquoted LF-ended file of plain digit counts and
+    distinct symbols of at most 8 bytes is parsed column-wise by numpy from
+    its bytes (_parse_counts, which lists the files it hands over). Any
+    other file is decoded and parsed row by row (_read_counts), with the
+    same result, or the error it raises. A file that is not UTF-8 is refused
+    with the line of its first bad byte.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # as the utf-8-sig codec reads a file: past its byte-order mark, and a
+    # file that is only the start of one as empty
+    if codecs.BOM_UTF8.startswith(data[:3]):
+        data = data[3:]
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            counts = _parse_counts(fh.read())
-            if counts is None:
-                fh.seek(0)
-                counts = _read_counts(path, fh)
+        text = None if data.isascii() else data.decode()
     except UnicodeDecodeError as exc:
-        # read() decodes the whole file after any byte-order mark in one
-        # call, so exc.object holds every byte before the bad one
-        head = exc.object[: exc.start]
+        head = data[: exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise ValueError(
             f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
+    counts = _parse_counts(data)
+    if counts is None:
+        text = data.decode() if text is None else text
+        counts = _read_counts(path, io.StringIO(text, newline=""))
     return fingerprint(MultiplicitySample(counts))
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from scipy.special import lambertw
 
-from .distributions import DiscreteDistribution, check_k
+from .distributions import DiscreteDistribution, check_class, check_k
 from .poisson_model import check_n, expected_prevalence, prevalence_second_moment
 
 #: sigma for the Chao functional (beta_2 = 1): 1/sqrt(4 pi).
@@ -206,9 +206,13 @@ def bound_report(
     When P is given, the collision-regime bounds are evaluated with exact
     moments of P; the high-collision bound stays None if its hypothesis
     fails, and the combined worst-case total stays None when n is too small.
+    The bounds hold only on the class of k, so a P outside it (support over
+    k, or a mass below 1/k) is refused.
     """
     check_n(n)
     check_k(k)
+    if P is not None:
+        check_class(P, k)
     plugin_lower, plugin_upper = plugin_mse_bounds(n, k)
     try:
         total, eps = chao_mse_upper(n, k)

@@ -28,6 +28,7 @@ from supportsize.bench import (
 from supportsize.distributions import (
     FAMILIES,
     DiscreteDistribution,
+    exact_sum,
     make_distribution,
 )
 from supportsize.estimators import (
@@ -77,6 +78,41 @@ def test_monte_carlo_matches_exact_plugin_mse():
         for n in (500.0, 2000.0):
             row = monte_carlo_mse(P, n, "plugin", trials=20_000, master_seed=2)
             assert abs(row.mse - exact_plugin_mse(P, n)) <= 4 * row.stderr
+
+
+def plugin_error_moments(P, n):
+    """(E[phi_0^2], its per-trial standard deviation, P(phi_0 > 0)) for
+    phi_0, the plug-in error: a sum of independent Bernoulli(e^{-n p_x})
+    indicators, whose cumulants k1..k4 add over the symbols. With mean
+    k1, Var(phi_0^2) = 4 k1^2 k2 + 4 k1 k3 + k4 + 2 k2^2."""
+    values, lengths = P.levels
+    q = np.exp(-n * values)
+    v = q * (1 - q)
+    k1, k2, k3, k4 = (exact_sum(c, lengths)
+                      for c in (q, v, v * (1 - 2 * q), v * (1 - 6 * v)))
+    var = 4 * k1 * k1 * k2 + 4 * k1 * k3 + k4 + 2 * k2 * k2
+    p_nonzero = -math.expm1(exact_sum(np.log1p(-q), lengths))
+    return k2 + k1 * k1, math.sqrt(var), p_nonzero
+
+
+def test_sweep_matches_exact_plugin_mse_on_the_default_grid(tmp_path):
+    # every plug-in row of the default grid (both draw paths) lies within 6
+    # exact standard errors of the exact MSE; a row that expects fewer than
+    # 50 trials with a nonzero error is too skewed for the check
+    cfg = SweepConfig(estimators=("plugin",), master_seed=1,
+                      output_path=str(tmp_path / "sweep.csv"))
+    checked = 0
+    for row in run_sweep(cfg):
+        P = make_distribution(row.family, cfg.k)
+        exact = exact_plugin_mse(P, row.n)
+        m2, sd, p_nonzero = plugin_error_moments(P, row.n)
+        assert m2 == pytest.approx(exact, rel=1e-12)
+        if row.trials * p_nonzero < 50:
+            continue
+        checked += 1
+        z = (row.mse - exact) / (sd / math.sqrt(row.trials))
+        assert abs(z) <= 6, (row, exact, z)
+    assert checked == 31  # all but zipf at n = 8000
 
 
 def test_monte_carlo_agrees_with_direct_estimators():
@@ -562,6 +598,21 @@ def test_run_sweep_row_count_and_csv(tmp_path):
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 2
     assert lines[1].startswith("uniform,30,60,plugin,")
+
+
+def test_sweep_rows_do_not_depend_on_a_repeated_family(tmp_path):
+    # a repeated family is one shared law, whose cells are drawn as one
+    # group: each copy's rows are byte-identical to the family's rows alone
+    def rows(families):
+        cfg = SweepConfig(families=families, k=1000, n_grid=(500.0, 2000.0),
+                          trials=130, output_path=str(tmp_path / "s.csv"))
+        return [repr(row) for row in run_sweep(cfg)]
+
+    families = ("zipf", "uniform", "zipf", "two_mixture", "uniform")
+    assert make_distribution("zipf", 1000) is make_distribution("zipf", 1000)
+    alone = {family: rows((family,)) for family in set(families)}
+    assert rows(families) == [row for family in families
+                              for row in alone[family]]
 
 
 def test_run_sweep_determinism_across_workers(tmp_path):

@@ -84,6 +84,12 @@ CASES = {
        for k in (INF, 2.5, NAN)},
     **{f"bound_report k={k}": (lambda k=k: bound_report(10.0, k))
        for k in (INF, 2.5, NAN)},
+    # the bounds of k = 10 are false for a law of 1000 symbols
+    "bound_report P outside the class of k":
+        lambda: bound_report(2000.0, 10, make_distribution("uniform", 1000)),
+    "bound_report P with a mass below 1/k":
+        lambda: bound_report(2000.0, 10, make_distribution("zipf", 10,
+                                                            strict=False)),
     **{f"make_distribution k={k}": (lambda k=k: make_distribution("uniform", k))
        for k in (INF, 2.5, NAN)},
     "high_collision_bound e_phi2=nan":

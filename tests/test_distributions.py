@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supportsize import distributions
 from supportsize.distributions import (
     DiscreteDistribution,
     FAMILIES,
@@ -147,6 +149,55 @@ def test_probs_are_immutable():
         P.probs[0] = 0.5
 
 
+def test_zoo_laws_are_shared_and_read_only():
+    P = make_distribution("zipf", 1000)
+    assert make_distribution("zipf", 1000, True) is P
+    assert make_distribution("zipf", 1000, strict=True) is P
+    with pytest.raises(ValueError):
+        P.levels[0][0] = 0.5
+    lenient = make_distribution("zipf", 1000, strict=False)
+    assert lenient is not P and not lenient.strict
+    assert make_distribution("zipf", 1000, False) is lenient
+    # a float k is refused after the equal integer k is kept
+    make_distribution("uniform", 1000)
+    with pytest.raises(ValueError):
+        make_distribution("uniform", 1000.0)
+    # a refused call is never kept, so it is refused again
+    for args in [("triangular", 10), ("two_mixture", 7)]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                make_distribution(*args)
+
+
+def test_laws_above_the_cap_are_built_per_call():
+    k = distributions._SHARED_MAX_K + 2
+    A = make_distribution("two_mixture", k)
+    B = make_distribution("two_mixture", k)
+    assert A is not B and np.array_equal(A.probs, B.probs)
+    assert make_distribution("two_mixture", k - 2) is make_distribution(
+        "two_mixture", k - 2)
+
+
+def test_shared_laws_stay_within_their_bound():
+    # more laws of about 2**17 symbols than the cache keeps; what stays
+    # held is the kept laws alone
+    shared = distributions._shared_law
+    shared.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in range(distributions._SHARED_MAX_K, 2**17 - 5, -1):
+            for family, strict in [("uniform", True), ("uniform", False),
+                                   ("zipf", False), ("geometric", False)]:
+                make_distribution(family, k, strict)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        shared.cache_clear()
+    laws = distributions._SHARED_LAWS
+    assert laws * 2**20 < held <= laws * (2**20 + 2**10)
+
+
 def same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
@@ -267,22 +318,48 @@ def test_exact_sum_takes_unsigned_counts():
 
 
 def test_weighted_exact_sum_counts_terms_against_the_fsum_floor(monkeypatch):
-    # the floor is on the expanded terms, counts.sum(), not on len(x): 20
-    # values taken 50 times each are 1000 terms for fsum, 51 times the kernel
+    # the floor is on the expanded terms, counts.sum(), not on len(x): two
+    # values taken floor terms in all go to fsum, one more to the kernel
     fsum, lengths = math.fsum, []
 
     def counting_fsum(terms):
         lengths.append(len(terms))
         return fsum(terms)
 
-    x = np.random.default_rng(0).standard_normal(20)
-    expected = {c: fsum_of_repeats(x, np.full(20, c)) for c in (50, 51)}
+    floor = distributions._FSUM_MAX_TERMS
+    x = np.random.default_rng(0).standard_normal(2)
+    counts = {c: np.array([floor // 2, c - floor // 2])
+              for c in (floor, floor + 1)}
+    expected = {c: fsum_of_repeats(x, counts[c]) for c in counts}
     monkeypatch.setattr(math, "fsum", counting_fsum)
-    assert exact_sum(x, np.full(20, 50)) == expected[50]
-    assert lengths == [1000]
+    assert exact_sum(x, counts[floor]) == expected[floor]
+    assert lengths == [floor]
     lengths.clear()
-    assert exact_sum(x, np.full(20, 51)) == expected[51]
+    assert exact_sum(x, counts[floor + 1]) == expected[floor + 1]
     assert max(lengths) < 20, "fsum over the repeated terms"
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_exact_sum_at_the_fsum_floor_is_fsum(offset):
+    # floor - 1, floor and floor + 1 terms, which take fsum, fsum and the
+    # kernel, with and without counts, zeros of both signs among them
+    terms = distributions._FSUM_MAX_TERMS + offset
+    rng = np.random.default_rng(terms)
+    normal = rng.standard_normal(terms)
+    normal[:4] = [0.0, -0.0, 0.0, -0.0]
+    cancel = np.concatenate([normal[: terms // 2], -normal[: terms // 2],
+                             [-0.0] * (terms % 2)])
+    cases = [normal, rng.permutation(cancel), np.full(terms, -0.0),
+             np.where(rng.random(terms) < 0.5, 0.0, -0.0)]
+    # counted: the first half of the values, each taken twice (the last
+    # once when terms is odd)
+    counts = np.full((terms + 1) // 2, 2)
+    counts[-1] -= terms % 2
+    for x in cases:
+        assert same_float(exact_sum(x), math.fsum(x.tolist()))
+        values = x[: len(counts)]
+        assert same_float(exact_sum(values, counts),
+                          fsum_of_repeats(values, counts))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
