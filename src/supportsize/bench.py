@@ -575,7 +575,8 @@ def ingest_counts(path) -> Fingerprint:
     if codecs.BOM_UTF8.startswith(data[:3]):
         data = data[3:]
     try:
-        text = None if data.isascii() else data.decode()
+        if not data.isascii():
+            data.decode()
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
@@ -583,8 +584,7 @@ def ingest_counts(path) -> Fingerprint:
             f"{path}:{line}: not valid UTF-8 ({exc.reason})") from None
     counts = _parse_counts(data)
     if counts is None:
-        text = data.decode() if text is None else text
-        counts = _read_counts(path, io.StringIO(text, newline=""))
+        counts = _read_counts(path, io.StringIO(data.decode(), newline=""))
     return fingerprint(MultiplicitySample(counts))
 
 

@@ -181,11 +181,11 @@ def test_laws_above_the_cap_are_built_per_call():
 def test_shared_laws_stay_within_their_bound():
     # more laws of about 2**17 symbols than the cache keeps; what stays
     # held is the kept laws alone
-    shared = distributions._shared_law
+    shared, top = distributions._shared_law, distributions._SHARED_MAX_K
     shared.cache_clear()
     tracemalloc.start()
     try:
-        for k in range(distributions._SHARED_MAX_K, 2**17 - 5, -1):
+        for k in range(top, top - 5, -1):
             for family, strict in [("uniform", True), ("uniform", False),
                                    ("zipf", False), ("geometric", False)]:
                 make_distribution(family, k, strict)
@@ -194,8 +194,9 @@ def test_shared_laws_stay_within_their_bound():
     finally:
         tracemalloc.stop()
         shared.cache_clear()
+    # at most 8 bytes a symbol and 1 KiB of objects a law, as documented
     laws = distributions._SHARED_LAWS
-    assert laws * 2**20 < held <= laws * (2**20 + 2**10)
+    assert laws * 8 * (top - 4) < held <= laws * (8 * top + 2**10)
 
 
 def same_float(a, b):
