@@ -255,7 +255,7 @@ def make_distribution(
 
     A law with k <= 2**17 is built once per process and shared: a repeated
     call returns the same object, strict given by position, by keyword or
-    left at its default. The law is read-only (see DiscreteDistribution),
+    left at its default, and taken as a bool. The law is read-only (see DiscreteDistribution),
     so sharing it changes nothing a caller sees. The 16 laws last used are
     kept, at most 16 MiB and 16 KiB in all; the cache has a bound so that
     a process that walks through many k does not keep every law it built.
@@ -281,7 +281,7 @@ def make_distribution(
     if family == "two_mixture" and k % 2 != 0:
         raise ValueError("two_mixture requires even k")
     build = _shared_law if k <= _SHARED_MAX_K else _build_law
-    return build(family, k, strict)
+    return build(family, k, bool(strict))
 
 
 def _build_law(family: str, k: int, strict: bool) -> DiscreteDistribution:

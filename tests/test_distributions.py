@@ -153,6 +153,7 @@ def test_zoo_laws_are_shared_and_read_only():
     P = make_distribution("zipf", 1000)
     assert make_distribution("zipf", 1000, True) is P
     assert make_distribution("zipf", 1000, strict=True) is P
+    assert make_distribution("zipf", 1000, strict=1) is P
     with pytest.raises(ValueError):
         P.levels[0][0] = 0.5
     lenient = make_distribution("zipf", 1000, strict=False)
