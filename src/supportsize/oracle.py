@@ -6,7 +6,9 @@ its count, and every vector of classes is enumerated together with its
 product probability. The prevalences phi_0..phi_4 are functions of the
 classes, so expectations over this law are exact; each check carries only a
 rounding slack, and an inequality is reported falsified only when it fails
-by more than that.
+by more than that. The class box of each alphabet size, its prevalence table
+and the float rows phi_0..phi_4 that the checks read are built once per
+alphabet size and shared read-only by every instance of that size.
 
 The checks instantiate the decoupling bounds for polynomial-times-rational
 prevalence functionals, the characteristic-polynomial integral inequality,
@@ -27,8 +29,8 @@ from scipy.special import pdtrc, stirling2
 
 from .bounds import CONDITIONAL_FACTOR_BASE, check_unit_interval, sigma_of
 from .distributions import (FAMILIES, DiscreteDistribution, check_integer,
-                            check_k, make_distribution)
-from .poisson_model import expected_prevalence, poisson_pmf
+                            check_k, exact_sum, make_distribution)
+from .poisson_model import check_n, poisson_pmf
 
 MAX_SYMBOLS = 4
 #: Largest prevalence index an instance answers: each symbol's count is kept
@@ -93,18 +95,24 @@ class OracleInstance:
     probs: np.ndarray  # cells, products of the per-symbol class masses
     tail_mass: float  # mass left out of the law: always 0.0
     phi_table: np.ndarray = field(repr=False)  # cells x phi_0..phi_{MAX_PREVALENCE}
+    phi_rows: tuple[np.ndarray, ...] = field(repr=False)  # phi_table's columns, float
 
     @property
     def num_symbols(self) -> int:
         return len(self.means)
 
     def prevalences(self, i: int) -> np.ndarray:
-        """phi_i evaluated on every cell."""
+        """phi_i evaluated on every cell, as floats: column i of phi_table.
+
+        The rows are built once per alphabet size and shared read-only by
+        every instance of that size, so this returns the same C-contiguous
+        array on each call; write to a copy.
+        """
         check_integer("prevalence index", i, 0)
         if i > MAX_PREVALENCE:
             raise ValueError(f"prevalence index {i} is above {MAX_PREVALENCE}, "
                              "the largest the class law answers")
-        return self.phi_table[:, i].astype(float)
+        return self.phi_rows[i]
 
     def linear_values(self, lin: LinearFunctional) -> np.ndarray:
         top = len(lin.coeffs) - 1
@@ -112,6 +120,9 @@ class OracleInstance:
             raise ValueError(f"linear functional reaches prevalence index {top}, "
                              f"above {MAX_PREVALENCE}, the largest the class "
                              "law answers")
+        # the product stays on the int table: a product of the float rows
+        # is a BLAS call of another shape, which can round differently and
+        # would move every certificate of the campaigns
         return self.phi_table[:, :top + 1] @ np.asarray(lin.coeffs, dtype=float)
 
     def poly_values(self, poly: PolyFunctional) -> np.ndarray:
@@ -121,18 +132,26 @@ class OracleInstance:
         return sum(terms, np.zeros(len(self.probs)))
 
 
+#: the counts 0..MAX_PREVALENCE, at which build_instance (every class but the
+#: top one) and check_cauchy_schwarz (the first three) take Poisson pmfs
+_CLASSES = np.arange(MAX_PREVALENCE + 1)
+_CLASSES.flags.writeable = False
+
+
 @lru_cache(maxsize=MAX_SYMBOLS)
-def _class_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only capped counts and prevalence table of the m-symbol class box."""
+def _class_grid(m: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Read-only capped counts and prevalence table of the m-symbol class box,
+    and the table's columns as C-contiguous float rows (one per prevalence)."""
     width = MAX_PREVALENCE + 2
     cells = width**m
     counts = np.indices((width,) * m).reshape(m, cells).T
     entries = np.arange(0, cells * width, width)[:, None] + counts
     phi_table = np.bincount(entries.ravel(), minlength=cells * width)
     phi_table = phi_table.reshape(cells, width)[:, :-1]
-    counts.flags.writeable = False
-    phi_table.flags.writeable = False
-    return counts, phi_table
+    rows = np.ascontiguousarray(phi_table.T, dtype=float)
+    for table in (counts, phi_table, rows):
+        table.flags.writeable = False
+    return counts, phi_table, tuple(rows)
 
 
 def build_instance(means) -> OracleInstance:
@@ -148,8 +167,8 @@ def build_instance(means) -> OracleInstance:
     row-major order (the last symbol varies fastest). A cell's probability is
     the product of its per-symbol class masses, multiplied in symbol order,
     and row c of phi_table holds the prevalences phi_0..phi_{MAX_PREVALENCE}
-    of cell c. The counts and phi_table depend only on m and are shared
-    between instances, read-only.
+    of cell c. The counts, phi_table and its float rows phi_rows depend only
+    on m and are shared between instances, read-only.
     """
     means = tuple(float(x) for x in means)
     m = len(means)
@@ -160,13 +179,14 @@ def build_instance(means) -> OracleInstance:
 
     lam = np.array(means)
     masses = np.empty((m, MAX_PREVALENCE + 2))
-    masses[:, :-1] = poisson_pmf(np.arange(MAX_PREVALENCE + 1), lam[:, None])
+    masses[:, :-1] = poisson_pmf(_CLASSES, lam[:, None])
     masses[:, -1] = pdtrc(MAX_PREVALENCE, lam)
     probs = reduce(np.multiply.outer, masses).ravel()
     probs.flags.writeable = False
-    counts, phi_table = _class_grid(m)
+    counts, phi_table, phi_rows = _class_grid(m)
     return OracleInstance(
         means=means, counts=counts, probs=probs, tail_mass=0.0, phi_table=phi_table,
+        phi_rows=phi_rows,
     )
 
 
@@ -219,7 +239,7 @@ def _skip(name: str, detail: str) -> Certificate:
 
 def _rounding_slack(*value_arrays) -> float:
     """Rounding error bar scaled by the sups of the integrands."""
-    return 1e-12 * (1.0 + sum(float(np.max(np.abs(v), initial=0.0))
+    return 1e-12 * (1.0 + sum(float(np.abs(v).max(initial=0.0))
                               for v in value_arrays))
 
 
@@ -234,7 +254,7 @@ def check_decoupling_lower(
     """E[poly * f(linear)] >= E[poly] * E[f(linear + d)] for non-increasing f."""
     pv = inst.poly_values(poly)
     lv = inst.linear_values(lin)
-    _assert_non_increasing(f, np.unique(lv))
+    _assert_non_increasing(f, _distinct(lv))
     p = inst.probs
     pf, shifted = pv * f(lv), f(lv + poly.degree)
     lhs = float(pf @ p)
@@ -250,7 +270,7 @@ def check_decoupling_upper_concave(
     non-increasing f, provided E[linear] >= d sigma."""
     pv = inst.poly_values(poly)
     lv = inst.linear_values(lin)
-    support = np.unique(lv)
+    support = _distinct(lv)
     _assert_non_increasing(f, support)
     _assert_concave(f, support)
     p = inst.probs
@@ -288,7 +308,7 @@ def check_domination_upper(
     enumerated support (verified, not assumed)."""
     pv = inst.poly_values(poly)
     lv = inst.linear_values(lin)
-    support = np.unique(lv)
+    support = _distinct(lv)
     if np.any(f(support) > dominator_value(fprime, support) + 1e-12):
         raise ValueError("fprime does not dominate f on the enumerated support")
     p = inst.probs
@@ -340,14 +360,14 @@ def check_charpoly_integral(law, u: float) -> Certificate:
     if not 0.0 < u <= 1.0:
         raise ValueError("u must lie in (0, 1]")
     values, masses = law
-    ex = math.fsum(values * masses)
+    ex = math.fsum((values * masses).tolist())
     if ex <= 0:
         return _skip("charpoly_integral", "E[X] = 0")
     # the powers come from Python's pow (libm), one per entry: numpy's
     # vectorised power rounds differently, depending on the CPU's SIMD level
     s1 = values + 1.0
-    lhs = math.fsum(masses * [u**s for s in s1.tolist()] / s1)
-    rhs = math.fsum(masses * [u**s for s in values.tolist()]) / ex
+    lhs = math.fsum((masses * [u**s for s in s1.tolist()] / s1).tolist())
+    rhs = math.fsum((masses * [u**s for s in values.tolist()]).tolist()) / ex
     slack = 1e-12 * (1.0 + abs(rhs))
     return _certify("charpoly_integral", rhs - lhs, slack, lhs, rhs)
 
@@ -357,7 +377,7 @@ def check_inverse_falling_moments(law, max_r: int = 3) -> Certificate:
     is the (values, masses) pair that charpoly returns."""
     check_integer("max_r", max_r, 1)
     values, masses = law
-    ex = math.fsum(values * masses)
+    ex = math.fsum((values * masses).tolist())
     if ex <= 0:
         return _skip("inverse_falling_moments", "E[X] = 0")
     try:
@@ -366,7 +386,8 @@ def check_inverse_falling_moments(law, max_r: int = 3) -> Certificate:
         return _skip("inverse_falling_moments", f"E[X]^-{max_r} overflows")
     inv = _inverse_rising(values, max_r + 1)
     worst = min(
-        ex**-r - math.fsum(masses * inv[:, r]) for r in range(1, max_r + 1)
+        ex**-r - math.fsum((masses * inv[:, r]).tolist())
+        for r in range(1, max_r + 1)
     )
     slack = 1e-12 * max(1.0, top)
     return _certify("inverse_falling_moments", worst, slack, math.nan, math.nan,
@@ -396,10 +417,11 @@ def check_moment_bound(inst: OracleInstance, j: int, h: int) -> Certificate:
         raise ValueError("h > 6 is not supported (enumeration cost)")
     pj = inst.prevalences(j)
     p = inst.probs
-    lhs = float((pj**h) @ p)
+    power = pj**h
+    lhs = float(power @ p)
     mu = float(pj @ p)
     rhs = math.fsum(c * mu**k for k, c in enumerate(moment_coefficients(h), 1))
-    slack = _rounding_slack(pj**h, pj)
+    slack = _rounding_slack(power, pj)
     return _certify("moment_bound", rhs - lhs, slack, lhs, rhs,
                     detail=f"j={j} h={h}")
 
@@ -420,10 +442,11 @@ def check_degree2_second_moment(
         raise ValueError("needs 1 < alphabet size <= k")
     pv = inst.poly_values(poly)
     p = inst.probs
-    lhs = float((pv * pv) @ p)
+    square = pv * pv
+    lhs = float(square @ p)
     mean = float(pv @ p)
     rhs = mean * mean + 6.0 * k * L * mean
-    slack = _rounding_slack(pv * pv, pv)
+    slack = _rounding_slack(square, pv)
     return _certify("degree2_second_moment", rhs - lhs, slack, lhs, rhs)
 
 
@@ -433,11 +456,12 @@ def check_conditional_moment(inst: OracleInstance, j: int, h: int) -> Certificat
     if j == 2:
         raise ValueError("j must differ from the conditioning index 2")
     mask = inst.prevalences(2) == 0
-    pz = float(inst.probs[mask].sum())
+    pm = inst.probs[mask]
+    pz = float(pm.sum())
     if pz <= 0:
         raise ValueError("conditioning event phi_2 = 0 has zero mass")
     pj = inst.prevalences(j)
-    lhs = float((pj[mask] ** h) @ inst.probs[mask]) / pz
+    lhs = float((pj[mask] ** h) @ pm) / pz
     factor = CONDITIONAL_FACTOR_BASE ** -min(inst.num_symbols, h)
     rhs = factor * float((pj**h) @ inst.probs)
     slack = 1e-12 * (1.0 + rhs)
@@ -455,9 +479,10 @@ def check_negative_regression(inst: OracleInstance, i: int, j: int, shape) -> Ce
     conds = []  # E[shape(phi_i) | phi_j = t] over the t of positive mass
     for t in range(inst.num_symbols + 1):
         mask = pj == t
-        pt = float(inst.probs[mask].sum())
+        pm = inst.probs[mask]
+        pt = float(pm.sum())
         if pt > 0:
-            conds.append(float(si[mask] @ inst.probs[mask]) / pt)
+            conds.append(float(si[mask] @ pm) / pt)
     if len(conds) < 2:
         return _skip("negative_regression", "fewer than two feasible values")
     worst = min(a - b for a, b in zip(conds, conds[1:]))
@@ -466,8 +491,14 @@ def check_negative_regression(inst: OracleInstance, i: int, j: int, shape) -> Ce
 
 
 def check_cauchy_schwarz(P: DiscreteDistribution, n: float) -> Certificate:
-    """(E[phi_1])^2 <= 2 E[phi_0] E[phi_2], via exact moments."""
-    e0, e1, e2 = (expected_prevalence(P, n, i) for i in range(3))
+    """(E[phi_1])^2 <= 2 E[phi_0] E[phi_2], via exact moments.
+
+    The moments are poisson_model.expected_prevalence(P, n, i) for
+    i = 0, 1, 2, bit for bit, from one elementwise pmf call over the three.
+    """
+    check_n(n)
+    pmf = poisson_pmf(_CLASSES[:3, None], n * P.levels[0])
+    e0, e1, e2 = (exact_sum(row, P.levels[1]) for row in pmf)
     lhs = e1 * e1
     rhs = 2.0 * e0 * e2
     slack = 1e-12 * max(1.0, lhs, rhs)
@@ -500,17 +531,34 @@ def f_neg_identity(x):
     return -np.asarray(x, dtype=float)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-D float array: np.unique(values),
+    bit for bit, by the same sort and neighbour mask without its dispatch.
+
+    Unlike np.unique, it keeps NaNs apart, one entry each. No NaN reaches
+    it: its input is a linear functional's values, whose coefficients are
+    checked to lie in [0, 1], on the finite counts of the class table.
+    """
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 def _assert_non_increasing(f, support: np.ndarray):
     """support: the sorted distinct values of the linear functional."""
-    if np.any(np.diff(f(support)) > 1e-12):
+    y = f(support)
+    if (y[1:] - y[:-1] > 1e-12).any():
         raise ValueError("f is not non-increasing on the enumerated support")
 
 
 def _assert_concave(f, support: np.ndarray):
     """support: the sorted distinct values of the linear functional."""
     # second divided differences must be <= 0; fewer than 3 points have none
-    d1 = np.diff(f(support)) / np.diff(support)
-    if np.any(np.diff(d1) > 1e-10):
+    y = f(support)
+    d1 = (y[1:] - y[:-1]) / (support[1:] - support[:-1])
+    if (d1[1:] - d1[:-1] > 1e-10).any():
         raise ValueError("f is not concave on the enumerated support")
 
 

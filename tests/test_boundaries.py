@@ -35,6 +35,7 @@ from supportsize.oracle import (
     build_instance,
     certification_campaign,
     charpoly,
+    check_cauchy_schwarz,
     check_charpoly_integral,
     check_conditional_moment,
     check_decoupling_lower,
@@ -108,6 +109,9 @@ CASES = {
     "charpoly nan value": lambda: charpoly([[(NAN, 1.0)]]),
     "charpoly nan mass": lambda: charpoly([[(0.0, NAN), (1.0, 1.0)]]),
     "charpoly masses 1.5, -0.5": lambda: charpoly([[(0.0, 1.5), (1.0, -0.5)]]),
+    **{f"check_cauchy_schwarz n={n}":
+       (lambda n=n: check_cauchy_schwarz(make_distribution("uniform", 10), n))
+       for n in (NAN, INF, 0.0, -1.0)},
     "check_charpoly_integral u=0":
         lambda: check_charpoly_integral(charpoly([[(1.0, 1.0)]]), 0.0),
     "check_charpoly_integral u=nan":

@@ -16,6 +16,7 @@ from supportsize.distributions import (FAMILIES, DiscreteDistribution,
                                        make_distribution)
 from supportsize.oracle import (
     MAX_PREVALENCE,
+    MAX_SYMBOLS,
     LinearFunctional,
     PolyFunctional,
     build_instance,
@@ -162,6 +163,37 @@ def test_prevalence_matches_expected_prevalence():
     inst = build_instance([1.0, 1.0])
     assert float(inst.prevalences(1) @ inst.probs) == pytest.approx(
         2.0 * math.exp(-1.0), rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("m", range(1, MAX_SYMBOLS + 1))
+def test_prevalence_rows_are_shared_read_only_floats(m):
+    # m = 4 (1296 cells) is drawn by no campaign, so no pin covers it
+    inst, other = build_instance([0.5] * m), build_instance([2.0 + j for j in range(m)])
+    for i in range(MAX_PREVALENCE + 1):
+        row = inst.prevalences(i)
+        expected = inst.phi_table[:, i].astype(float)
+        assert row.dtype == expected.dtype and row.tobytes() == expected.tobytes()
+        assert row.flags.c_contiguous and not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+        assert other.prevalences(i) is row
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=MAX_SYMBOLS),
+       st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                min_size=1, max_size=MAX_PREVALENCE + 1))
+def test_distinct_is_np_unique(means, beta):
+    # linear values repeat across the cells that share their prevalences
+    lv = build_instance(means).linear_values(LinearFunctional(tuple(beta)))
+    assert oracle._distinct(lv).tobytes() == np.unique(lv).tobytes()
+
+
+def test_distinct_keeps_nans_apart():
+    # the one input on which it differs from np.unique, which merges NaNs
+    values = np.array([np.nan, 1.0, np.nan, 1.0])
+    assert len(oracle._distinct(values)) == 3
+    assert len(np.unique(values)) == 2
 
 
 @pytest.mark.parametrize("call", [
@@ -509,6 +541,16 @@ def test_cauchy_schwarz_zoo():
         P = make_distribution(family, 100)
         for n in (50.0, 200.0):
             assert check_cauchy_schwarz(P, n).passed
+
+
+def test_cauchy_schwarz_moments_are_expected_prevalences():
+    # one pmf call over i = 0, 1, 2 gives the three moments bit for bit
+    for family in FAMILIES:
+        P = make_distribution(family, 100)
+        for n in (50, 100, 200, 400, 1e-3, 1e6):
+            e0, e1, e2 = (expected_prevalence(P, n, i) for i in range(3))
+            cert = check_cauchy_schwarz(P, n)
+            assert (cert.lhs, cert.rhs) == (e1 * e1, 2.0 * e0 * e2)
 
 
 def test_cauchy_schwarz_single_symbol_equality():
