@@ -8,7 +8,10 @@ classes, so expectations over this law are exact; each check carries only a
 rounding slack, and an inequality is reported falsified only when it fails
 by more than that. The class box of each alphabet size, its prevalence table
 and the float rows phi_0..phi_4 that the checks read are built once per
-alphabet size and shared read-only by every instance of that size.
+alphabet size and shared read-only by every instance of that size. The
+certification campaign builds the instances of each check's cases in one
+batch, with one pmf call and one tail call per alphabet size; each is bit
+for bit the instance build_instance gives for its means.
 
 The checks instantiate the decoupling bounds for polynomial-times-rational
 prevalence functionals, the characteristic-polynomial integral inequality,
@@ -169,25 +172,64 @@ def build_instance(means) -> OracleInstance:
     and row c of phi_table holds the prevalences phi_0..phi_{MAX_PREVALENCE}
     of cell c. The counts, phi_table and its float rows phi_rows depend only
     on m and are shared between instances, read-only.
-    """
-    means = tuple(float(x) for x in means)
-    m = len(means)
-    if not 1 <= m <= MAX_SYMBOLS:
-        raise ValueError(f"alphabet size must be 1..{MAX_SYMBOLS}, got {m}")
-    if not all(0 < lam < math.inf for lam in means):
-        raise ValueError("all means must be positive and finite")
 
-    lam = np.array(means)
-    masses = np.empty((m, MAX_PREVALENCE + 2))
-    masses[:, :-1] = poisson_pmf(_CLASSES, lam[:, None])
-    masses[:, -1] = pdtrc(MAX_PREVALENCE, lam)
-    probs = reduce(np.multiply.outer, masses).ravel()
-    probs.flags.writeable = False
-    counts, phi_table, phi_rows = _class_grid(m)
-    return OracleInstance(
-        means=means, counts=counts, probs=probs, tail_mass=0.0, phi_table=phi_table,
-        phi_rows=phi_rows,
-    )
+    means must be a 1-D sequence of 1..MAX_SYMBOLS real numbers, each
+    positive and finite, as numpy reads it: an int or float array. Anything
+    else (a scalar, a nested list, complex numbers, strings) is a ValueError.
+
+    This is the one-case call of the builder; certification_campaign builds
+    all the instances of a check's cases in one call of it, with the same
+    float operations, so each instance is bit for bit this one.
+    """
+    return _build_instances([means])[0]
+
+
+def _check_means(means) -> tuple[float, ...]:
+    """means as a tuple of floats, refused unless it is a 1-D sequence of
+    1..MAX_SYMBOLS real numbers, each positive and finite."""
+    lam = np.asarray(means)
+    if lam.ndim != 1 or lam.dtype.kind not in "iuf":
+        raise ValueError("means must be a 1-D sequence of real numbers, got "
+                         f"{means!r}")
+    if not 1 <= len(lam) <= MAX_SYMBOLS:
+        raise ValueError(f"alphabet size must be 1..{MAX_SYMBOLS}, got {len(lam)}")
+    means = tuple(lam.astype(float).tolist())
+    if not all(0 < x < math.inf for x in means):
+        raise ValueError("all means must be positive and finite")
+    return means
+
+
+def _build_instances(means_list) -> list[OracleInstance]:
+    """build_instance of each entry of means_list, in order, built together:
+    one poisson_pmf call and one pdtrc call per alphabet size m.
+
+    The cases of m symbols share one read-only (cases, 6^m) array of cell
+    probabilities, one row per instance. Its products are taken symbol by
+    symbol along a new last axis, the same products in the same order as
+    reduce(np.multiply.outer, masses) of each case alone, and the pmf and the
+    tail are elementwise, so every row is bitwise the one-case build.
+    """
+    means_list = [_check_means(means) for means in means_list]
+    groups: dict[int, list[int]] = {}  # alphabet size -> positions of its cases
+    for pos, means in enumerate(means_list):
+        groups.setdefault(len(means), []).append(pos)
+    insts = [None] * len(means_list)
+    for m, positions in groups.items():
+        lam = np.array([means_list[pos] for pos in positions])
+        masses = np.empty(lam.shape + (MAX_PREVALENCE + 2,))
+        masses[..., :-1] = poisson_pmf(_CLASSES, lam[..., None])
+        masses[..., -1] = pdtrc(MAX_PREVALENCE, lam)
+        probs = masses[:, 0]
+        for j in range(1, m):
+            probs = (probs[:, :, None] * masses[:, j, None, :]).reshape(len(positions), -1)
+        probs.flags.writeable = False
+        counts, phi_table, phi_rows = _class_grid(m)
+        for pos, row in zip(positions, probs):
+            insts[pos] = OracleInstance(
+                means=means_list[pos], counts=counts, probs=row, tail_mass=0.0,
+                phi_table=phi_table, phi_rows=phi_rows,
+            )
+    return insts
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +296,7 @@ def check_decoupling_lower(
     """E[poly * f(linear)] >= E[poly] * E[f(linear + d)] for non-increasing f."""
     pv = inst.poly_values(poly)
     lv = inst.linear_values(lin)
-    _assert_non_increasing(f, _distinct(lv))
+    _assert_non_increasing(f(_distinct(lv)))
     p = inst.probs
     pf, shifted = pv * f(lv), f(lv + poly.degree)
     lhs = float(pf @ p)
@@ -271,8 +313,9 @@ def check_decoupling_upper_concave(
     pv = inst.poly_values(poly)
     lv = inst.linear_values(lin)
     support = _distinct(lv)
-    _assert_non_increasing(f, support)
-    _assert_concave(f, support)
+    values = f(support)
+    _assert_non_increasing(values)
+    _assert_concave(support, values)
     p = inst.probs
     d_sigma = poly.degree * sigma_of(lin.coeffs)
     e_lin = float(lv @ p)
@@ -305,7 +348,11 @@ def check_domination_upper(
 ) -> Certificate:
     """E[poly * f(linear)] <= E[poly] * sum_t f'_t (E[linear] - d sigma)^{-t},
     where the falling-factorial series fprime dominates f pointwise on the
-    enumerated support (verified, not assumed)."""
+    enumerated support (verified, not assumed). Every coefficient of
+    fprime must be finite: a NaN would pass the domination test, and an
+    infinite one would make the bound infinite."""
+    if not all(map(math.isfinite, fprime)):
+        raise ValueError(f"fprime coefficients must be finite, got {fprime!r}")
     pv = inst.poly_values(poly)
     lv = inst.linear_values(lin)
     support = _distinct(lv)
@@ -471,11 +518,15 @@ def check_conditional_moment(inst: OracleInstance, j: int, h: int) -> Certificat
 
 def check_negative_regression(inst: OracleInstance, i: int, j: int, shape) -> Certificate:
     """E[shape(phi_i) | phi_j = t] is non-increasing over feasible t, for a
-    non-decreasing shape function."""
+    shape function non-decreasing on phi_i's values 0..m (verified, not
+    assumed: any other shape is a ValueError, not a falsification)."""
     if i == j:
         raise ValueError("i and j must differ")
     pj = inst.prevalences(j)
     si = shape(inst.prevalences(i))
+    steps = shape(np.arange(inst.num_symbols + 1.0))
+    if (steps[1:] - steps[:-1] < -1e-12).any():
+        raise ValueError("shape is not non-decreasing on the values 0..m of phi_i")
     conds = []  # E[shape(phi_i) | phi_j = t] over the t of positive mass
     for t in range(inst.num_symbols + 1):
         mask = pj == t
@@ -546,17 +597,16 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def _assert_non_increasing(f, support: np.ndarray):
-    """support: the sorted distinct values of the linear functional."""
-    y = f(support)
+def _assert_non_increasing(y: np.ndarray):
+    """y: f on the sorted distinct values of the linear functional."""
     if (y[1:] - y[:-1] > 1e-12).any():
         raise ValueError("f is not non-increasing on the enumerated support")
 
 
-def _assert_concave(f, support: np.ndarray):
-    """support: the sorted distinct values of the linear functional."""
+def _assert_concave(support: np.ndarray, y: np.ndarray):
+    """support: the sorted distinct values of the linear functional; y: f
+    on them."""
     # second divided differences must be <= 0; fewer than 3 points have none
-    y = f(support)
     d1 = (y[1:] - y[:-1]) / (support[1:] - support[:-1])
     if (d1[1:] - d1[:-1] > 1e-10).any():
         raise ValueError("f is not concave on the enumerated support")
@@ -586,13 +636,22 @@ CHECKS = tuple(name[len("check_"):] for name, obj in globals().items()
 def run_case(case: Case) -> Certificate:
     """The certificate of case, carrying case, so that it replays.
 
-    The instance is built and the check is looked up through the module's
-    globals at each call, so a wrapper of either sees every call.
+    The case's instance, if it has means, comes from build_instance. The
+    campaign builds its instances in batches instead, bitwise the same, so
+    a wrapper of build_instance sees the calls of run_case alone; a wrapper
+    of a check sees every call, the campaign's too.
     """
+    return _run(case, None if case.means is None else build_instance(case.means))
+
+
+def _run(case: Case, inst: OracleInstance | None) -> Certificate:
+    """The certificate of case on inst (None for a check of no instance),
+    carrying case. The check is looked up through the module's globals at
+    each call, so a wrapper of it sees every call."""
     if case.check not in CHECKS:
         raise ValueError(f"unknown oracle check {case.check!r}; choose from {CHECKS}")
-    inst = () if case.means is None else (build_instance(case.means),)
-    cert = globals()[f"check_{case.check}"](*inst, *case.args)
+    args = case.args if inst is None else (inst, *case.args)
+    cert = globals()[f"check_{case.check}"](*args)
     # the check built cert for this call alone, so its case is set in place,
     # as a __post_init__ would, not by a copy through dataclasses.replace
     object.__setattr__(cert, "case", case)
@@ -606,8 +665,8 @@ def _cases(check: str, means, *columns) -> Iterator[Case]:
 
 
 # Each _draw_* function makes all of its generator calls when called and
-# builds one case at a time as the campaign takes it, so the campaign holds
-# one check's draws as arrays, not as objects.
+# builds one case at a time as the campaign takes it. The campaign takes one
+# check's cases at a time, so it holds at most one check's cases as objects.
 
 
 def _pick(rng: np.random.Generator, options, cases: int) -> list:
@@ -783,21 +842,26 @@ def certification_campaign(
     Each certificate carries its case, and run_case(cert.case) replays it.
 
     The campaign is one loop over _CAMPAIGN: for each check in turn, its
-    draw makes its generator calls up front, a few array calls, and the
-    campaign runs the drawn cases one by one. The three decoupling draws
-    take `decoupling` cases each and the charpoly draw `charpoly_cases`
-    laws, two cases each; the zoo's 16 Cauchy-Schwarz cases come last. The
-    law of each case parameter is in the docstring of its draw (U is
-    uniform and m the alphabet size; _draw_means and _draw_polys give the
-    laws of the means and of the polynomials). The seed and every count
-    must be integers >= 0.
+    draw makes its generator calls up front, a few array calls, the
+    campaign builds the instances of all the drawn cases in one batch (one
+    pmf call and one tail call per alphabet size) and runs the cases one by
+    one. The three decoupling draws take `decoupling` cases each and the
+    charpoly draw `charpoly_cases` laws, two cases each; the zoo's 16
+    Cauchy-Schwarz cases come last. The law of each case parameter is in
+    the docstring of its draw (U is uniform and m the alphabet size;
+    _draw_means and _draw_polys give the laws of the means and of the
+    polynomials). The seed and every count must be integers >= 0.
     """
     counts = dict(locals())  # the seed and the six counts, by keyword
     for name, value in counts.items():
         check_integer(name, value, 0)
     rng = np.random.default_rng(seed)
-    return [run_case(case) for draw, count in _CAMPAIGN
-            for case in draw(rng, counts.get(count))]
+    certs = []
+    for draw, count in _CAMPAIGN:
+        cases = list(draw(rng, counts.get(count)))
+        insts = iter(_build_instances([c.means for c in cases if c.means is not None]))
+        certs += [_run(c, None if c.means is None else next(insts)) for c in cases]
+    return certs
 
 
 def summarize_certificates(certs) -> dict[str, dict[str, int]]:

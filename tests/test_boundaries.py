@@ -41,10 +41,12 @@ from supportsize.oracle import (
     check_decoupling_lower,
     check_decoupling_upper_concave,
     check_degree2_second_moment,
+    check_domination_upper,
     check_inverse_falling_moments,
     check_moment_bound,
     check_negative_regression,
     f_inv,
+    f_neg_identity,
     moment_coefficients,
     phi_squared,
     run_case,
@@ -229,6 +231,20 @@ CASES = {
     "check_decoupling_lower increasing f":
         lambda: check_decoupling_lower(build_instance([1.0]), PHI1, PHI0,
                                        lambda x: np.asarray(x, dtype=float)),
+    # a ValueError, not a falsified certificate, which verify would report
+    # as a refuted inequality
+    "check_negative_regression decreasing shape":
+        lambda: check_negative_regression(build_instance([1.0, 2.0, 0.5]), 0, 1,
+                                          f_neg_identity),
+    # at means 6.0, E[phi_0] is below d*sigma: a NaN coefficient let through
+    # by the domination test would end in a skip, not an error; an infinite
+    # one would give an infinite bound
+    **{f"check_domination_upper fprime={fprime}":
+       (lambda means=means, fprime=fprime: check_domination_upper(
+           build_instance(means), PHI1, PHI0, f_inv, fprime))
+       for means, fprime in (([6.0, 6.0], (NAN, 1.0)), ([0.4, 0.4], (0.0, INF)))},
+    **{f"build_instance {means!r}": (lambda means=means: build_instance(means))
+       for means in (1.0, [[1.0, 2.0]], [1 + 1j], ["1.5"])},
     "check_decoupling_upper_concave convex f":
         lambda: check_decoupling_upper_concave(build_instance([1.0] * 3), PHI1,
                                                PHI0, f_inv),

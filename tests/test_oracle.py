@@ -148,6 +148,24 @@ def test_class_law_expectations_match_box_enumeration(means, coeffs, beta, f):
         tail_mass * sup + 1e-12)
 
 
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.lists(st.floats(0.05, 3.0, exclude_min=True), min_size=1,
+                         max_size=MAX_SYMBOLS), min_size=1, max_size=8))
+def test_batch_build_is_the_one_case_build(means_list):
+    # a batch of mixed alphabet sizes, in any order: each instance is bit for
+    # bit build_instance of its means and shares its size's class grid
+    batch = oracle._build_instances(means_list)
+    assert len(batch) == len(means_list)
+    for means, inst in zip(means_list, batch):
+        alone = build_instance(means)
+        assert inst.means == alone.means == tuple(means)
+        assert inst.probs.tobytes() == alone.probs.tobytes()
+        assert not inst.probs.flags.writeable
+        assert inst.tail_mass == 0.0
+        for name in ("counts", "phi_table", "phi_rows"):
+            assert getattr(inst, name) is getattr(alone, name)
+
+
 def test_prevalence_matches_expected_prevalence():
     # cross-module consistency: the oracle's E[phi_i] and E[phi_i^2] equal
     # the analytic moments for the distribution/means pair, up to rounding
@@ -678,19 +696,22 @@ def test_small_campaign_has_no_falsifications():
 
 
 def test_campaign_builds_each_instance_and_law_once(monkeypatch):
-    # the benchmark's oracle.build_instance and oracle.charpoly spans count
-    # these calls: one per instance case and one per charpoly case
-    calls = {"build_instance": 0, "charpoly": 0}
+    # one batch per check, in campaign order, of one instance per instance
+    # case (the charpoly and Cauchy-Schwarz checks have none), and one law
+    # per charpoly case; build_instance is run_case's call alone
+    calls = {"_build_instances": [], "build_instance": [], "charpoly": []}
     for name in calls:
-        def counted(*args, name=name, fn=getattr(oracle, name)):
-            calls[name] += 1
-            return fn(*args)
+        def counted(arg, name=name, fn=getattr(oracle, name)):
+            calls[name].append(len(arg))
+            return fn(arg)
         monkeypatch.setattr(oracle, name, counted)
     certification_campaign(
         seed=0, decoupling=10, charpoly_cases=20, moment=10, degree2=10,
         conditional=10, regression=10,
     )
-    assert calls == {"build_instance": 70, "charpoly": 20}
+    assert calls["_build_instances"] == [10, 10, 10, 0, 10, 10, 10, 10, 0]
+    assert calls["build_instance"] == []
+    assert len(calls["charpoly"]) == 20
 
 
 def assert_law(values, law):
@@ -721,7 +742,8 @@ def test_campaign_draws_the_documented_laws(monkeypatch):
     for name, fn in vars(oracle).copy().items():
         if name.startswith("check_") and fn.__module__ == oracle.__name__:
             monkeypatch.setattr(oracle, name, recorder(name[len("check_"):]))
-    monkeypatch.setattr(oracle, "build_instance", tuple)
+    monkeypatch.setattr(oracle, "_build_instances",
+                        lambda means_list: list(map(tuple, means_list)))
     monkeypatch.setattr(oracle, "charpoly", lambda supports: supports)
     certification_campaign(
         seed=20261020, decoupling=cases, charpoly_cases=cases, moment=cases,
